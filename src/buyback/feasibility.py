@@ -14,8 +14,9 @@ Margin conventions (one number accompanies every boolean verdict):
 * money-side checks (IC, IR, squeeze) report the smallest *slack* in money
   units; they pass iff the margin is >= -tol.
 
-All checks are exhaustive O((K*L)^2) enumerations; grids are small, so
-auditability beats speed.
+Joint IC and regret take each type's best affordable deviation from a prefix
+maximum over the items sorted by repurchase amount; the decomposed IC checks
+enumerate item pairs on their own, so they cross-check the joint one.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .model import Contract, TypeGrid, ValidationError, check_shapes
 #: Default absolute tolerance for audit passes.
 AUDIT_TOL = 1e-6
 
-# Margin keys whose violation is max(margin, 0) (resource units).
-_EXCESS_KEYS = ("p1", "p2", "p6", "resource_feasible", "greedy_monotone", "greedy_maximal")
-# Margin keys whose violation is max(-margin, 0) (money units).
-_SLACK_KEYS = ("p3", "p4", "p5", "ic_valuation", "ic_capacity", "ic_full", "ir")
+# Worst-violation keys whose violation is max(margin, 0) (resource units);
+# the others are money-side, with violation max(-margin, 0).
+_EXCESS_KEYS = ("p1", "p2", "p6")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +76,19 @@ def _truthful_utilities(grid: TypeGrid, contract: Contract) -> np.ndarray:
     # T[k, l] = p[k, l] - v[k] * x[k, l]
     v = grid.valuations[:, None]
     return contract.payment - v * contract.allocation
+
+
+def _best_affordable_utility(grid: TypeGrid, contract: Contract, tol: float = 0.0) -> np.ndarray:
+    """best[k, l] = max of p - v[k] * x over items with x <= c[l] + tol, or -inf.
+
+    Sorted by x, the items affordable at a capacity form a prefix.
+    """
+    x, p = contract.allocation.ravel(), contract.payment.ravel()
+    order = np.argsort(x, kind="stable")
+    dev = p[order] - grid.valuations[:, None] * x[order]  # (K, K*L), by ascending x
+    # Column 0 is the empty prefix: nothing affordable.
+    prefix = np.maximum.accumulate(np.insert(dev, 0, -math.inf, axis=1), axis=1)
+    return prefix[:, np.searchsorted(x[order], grid.capacities + tol, side="right")]
 
 
 def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -151,18 +164,9 @@ def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float
 
 
 def _ic_full_margin(grid: TypeGrid, contract: Contract, tol: float) -> float:
-    x, p = contract.allocation, contract.payment
-    v = grid.valuations
-    truth = _truthful_utilities(grid, contract)
-    dev = p[None, :, :] - v[:, None, None] * x[None, :, :]  # (k, k2, l2)
-    worst = math.inf
-    for l in range(grid.num_capacities):
-        admissible = x <= grid.capacities[l] + tol  # (k2, l2)
-        if not np.any(admissible):
-            continue
-        slack = truth[:, l][:, None, None] - dev  # (k, k2, l2)
-        worst = min(worst, float(np.min(slack[:, admissible])))
-    return 0.0 if worst is math.inf else worst
+    slack = _truthful_utilities(grid, contract) - _best_affordable_utility(grid, contract, tol)
+    worst = float(np.min(slack))  # +inf only where nothing is affordable at all
+    return 0.0 if worst == math.inf else worst
 
 
 def _ir_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -199,9 +203,9 @@ def check_ic_full(
 ) -> tuple[bool, float]:
     """Joint incentive compatibility over all affordable deviations.
 
-    Enumerates every ordered pair of (true type, deviation item) with
-    x[deviation] <= capacity(true) + tol and requires the truthful utility to
-    win within tol.
+    Every true type's truthful utility must beat, within tol, its best
+    deviation among the items with x[deviation] <= capacity(true) + tol,
+    found as a prefix maximum over the items sorted by x.
     """
     check_shapes(grid, contract)
     margin = _ic_full_margin(grid, contract, tol)
@@ -228,23 +232,13 @@ def check_ir(grid: TypeGrid, contract: Contract, tol: float = AUDIT_TOL) -> tupl
 def compute_regret(grid: TypeGrid, contract: Contract) -> float:
     """Largest utility gain any type gets from an affordable misreport.
 
-    Exhaustive maximum over true types and over deviation items whose
-    repurchase amount fits the true capacity (weak inequality, no tolerance),
-    floored at zero.  Computed exactly, independent of any audit tolerance.
+    Maximum over true types and over deviation items whose repurchase
+    amount fits the true capacity (weak inequality, no tolerance), floored
+    at zero.  Computed exactly, independent of any audit tolerance.
     """
     check_shapes(grid, contract)
-    x, p = contract.allocation, contract.payment
-    v = grid.valuations
-    truth = _truthful_utilities(grid, contract)
-    dev = p[None, :, :] - v[:, None, None] * x[None, :, :]
-    regret = 0.0
-    for l in range(grid.num_capacities):
-        admissible = x <= grid.capacities[l]
-        if not np.any(admissible):
-            continue
-        best_dev = np.max(dev[:, admissible], axis=1)  # per true valuation k
-        regret = max(regret, float(np.max(best_dev - truth[:, l])))
-    return max(0.0, regret)
+    gain = _best_affordable_utility(grid, contract) - _truthful_utilities(grid, contract)
+    return max(0.0, float(np.max(gain)))
 
 
 def regret_bound(grid: TypeGrid, epsilon: float) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feasibility import _best_affordable_utility, _truthful_utilities
 from .model import (
     OPT_OUT,
     Contract,
@@ -66,6 +67,29 @@ class SimulationSummary:
     replications: int
 
 
+def _choices_at(
+    grid: TypeGrid, contract: Contract, ks: np.ndarray, l: int, tie_break: str, tol: float
+) -> np.ndarray:
+    """Chosen flat item code k2 * L + l2 for valuations ``ks`` at capacity ``l``.
+
+    -1 stands for opt-out.  See ``best_response`` for the choice rules.
+    """
+    x, p = contract.allocation.ravel(), contract.payment.ravel()
+    affordable = x <= grid.capacities[l]  # hard restriction, no tolerance
+    # p - v * x, (len(ks), K*L), built in place: fresh arrays this size cost page faults
+    utilities = np.multiply.outer(-grid.valuations[ks], x)
+    utilities += p
+    best = np.maximum(np.max(utilities, axis=1, where=affordable, initial=-math.inf), 0.0)
+    tied = utilities >= (best - tol)[:, None]
+    tied &= affordable
+    if tie_break == TIE_TRUTHFUL_FIRST:
+        own = ks * grid.num_capacities + l
+        codes = np.where(tied[np.arange(len(ks)), own], own, np.argmax(tied, axis=1))
+    else:
+        codes = np.argmax(np.where(tied, p, -math.inf), axis=1)
+    return np.where(tied.any(axis=1), codes, -1)
+
+
 def best_response(
     grid: TypeGrid,
     contract: Contract,
@@ -78,36 +102,17 @@ def best_response(
     Only items whose repurchase amount fits the client's capacity are
     selectable; opting out is always available and worth 0.  Ties within
     ``tol`` go to the truthful item first (then the lexicographically lowest
-    item) in ``truthful_first`` mode, or to the highest-payment item in
-    ``max_payment`` mode.  A client indifferent between signing and opting
-    out signs.
+    item) in ``truthful_first`` mode, or to the highest-payment item (then
+    the lexicographically lowest) in ``max_payment`` mode.  A client
+    indifferent between signing and opting out signs.
     """
     check_shapes(grid, contract)
     if tie_break not in _TIE_MODES:
         raise ValidationError(f"tie_break must be one of {_TIE_MODES}")
     k, l = true_type
     grid.check_item(k, l)
-    cap = float(grid.capacities[l])
-    x, p = contract.allocation, contract.payment
-    utilities = p - grid.valuations[k] * x
-    admissible = x <= cap  # hard restriction, no tolerance
-
-    if np.any(admissible):
-        item_best = float(np.max(utilities[admissible]))
-    else:
-        item_best = -math.inf
-    best = max(item_best, 0.0)
-    tied = admissible & (utilities >= best - tol)
-    if not np.any(tied):
-        return OPT_OUT
-    if tie_break == TIE_TRUTHFUL_FIRST:
-        if tied[k, l]:
-            return (k, l)
-        k2, l2 = np.argwhere(tied)[0]  # lexicographically lowest (k, l)
-        return (int(k2), int(l2))
-    pay = np.where(tied, p, -math.inf)
-    k2, l2 = np.argwhere(pay == pay.max())[0]
-    return (int(k2), int(l2))
+    code = int(_choices_at(grid, contract, np.array([k]), l, tie_break, tol)[0])
+    return OPT_OUT if code < 0 else divmod(code, grid.num_capacities)
 
 
 def _sample_type_indices(
@@ -132,19 +137,14 @@ def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str)
     l-major type index used by the sampler.
     """
     grid = instance.grid
-    K, L = grid.num_valuations, grid.num_capacities
-    chosen_x = np.zeros(K * L)
-    chosen_p = np.zeros(K * L)
-    codes = np.full(K * L, -1, dtype=np.intp)
-    for l in range(L):
-        for k in range(K):
-            t = l * K + k
-            choice = best_response(grid, contract, (k, l), tie_break)
-            if choice is not OPT_OUT:
-                k2, l2 = choice
-                chosen_x[t] = contract.allocation[k2, l2]
-                chosen_p[t] = contract.payment[k2, l2]
-                codes[t] = k2 * L + l2
+    ks = np.arange(grid.num_valuations)
+    codes = np.concatenate([
+        _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
+        for l in range(grid.num_capacities)
+    ])
+    # Code -1 picks the appended zero: opting out moves nothing.
+    chosen_x = np.append(contract.allocation.ravel(), 0.0)[codes]
+    chosen_p = np.append(contract.payment.ravel(), 0.0)[codes]
     return chosen_x, chosen_p, codes
 
 
@@ -188,20 +188,8 @@ def estimate_misreport_gain(
     the truthful item's, floored at zero — the empirical counterpart of the
     exact regret, which it never exceeds.
     """
-    check_shapes(instance.grid, contract)
     grid = instance.grid
-    K, L = grid.num_valuations, grid.num_capacities
-    x, p = contract.allocation, contract.payment
-
-    gains = np.zeros(K * L)
-    for l in range(L):
-        admissible = x <= grid.capacities[l]
-        for k in range(K):
-            if not np.any(admissible):
-                continue
-            utilities = p - grid.valuations[k] * x
-            truthful = float(utilities[k, l])
-            gains[l * K + k] = max(0.0, float(np.max(utilities[admissible])) - truthful)
-
+    check_shapes(grid, contract)
+    gain = _best_affordable_utility(grid, contract) - _truthful_utilities(grid, contract)
     types = _sample_type_indices(instance, config)
-    return float(np.max(gains[types]))
+    return max(0.0, float(np.max(gain.T.ravel()[types])))  # l-major type index

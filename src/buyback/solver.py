@@ -162,6 +162,16 @@ def _count_grid_candidates(K: int, L: int) -> int:
     return math.comb(K + L, K)
 
 
+def _count_crossing_loops(K: int, L: int) -> int:
+    """Innermost iterations of ``_crossing_candidates``, from its loop bounds."""
+    return sum(
+        math.comb(L - m + a - 1, a) * math.comb(m + K - 1 - b, K - 1 - b)
+        for a in range(K)
+        for b in range(a, K)
+        for m in range(L)
+    )
+
+
 def _best_by_key(candidates: np.ndarray, objective: np.ndarray, supply: np.ndarray):
     """Index of the best candidate: objective, then supply, then lex-larger y."""
     top = np.flatnonzero(objective == objective.max())
@@ -185,6 +195,12 @@ def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
     if n_grid > MAX_CANDIDATES:
         raise CandidateCountError(
             f"exact enumeration needs {n_grid} grid candidates (limit {MAX_CANDIDATES})"
+        )
+    n_trials = _count_crossing_loops(K, L) if M > 0.0 and D > 0.0 else 0
+    if n_grid + n_trials > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"exact enumeration needs {n_grid} grid candidates and {n_trials} "
+            f"crossing trials (limit {MAX_CANDIDATES})"
         )
     grid_values = np.concatenate([[0.0], caps])
     candidates = list(_grid_candidates(grid_values, K))

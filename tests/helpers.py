@@ -1,16 +1,22 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and reference implementations for the test suite."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from buyback import (
+    OPT_OUT,
     ClientDistribution,
     Contract,
     MarketInstance,
     TypeGrid,
+    ValidationError,
     optimal_payment_multi,
 )
+from buyback.model import check_shapes
+from buyback.simulation import _TIE_MODES, CHOICE_TOL, TIE_TRUTHFUL_FIRST
 
 
 def random_grid(rng, max_k=3, max_l=3, integer=False, k=None, l=None) -> TypeGrid:
@@ -174,3 +180,86 @@ def perturb_contract(rng, grid: TypeGrid, contract: Contract) -> Contract:
         else:
             x[k, l] += delta
     return Contract(x, p)
+
+
+def random_menu(rng, grid: TypeGrid, kind: str) -> Contract:
+    """A contract of one of four kinds, for the best-response and regret checks.
+
+    ``feasible`` and ``perturbed`` are priced greedy menus (the second with
+    one entry moved); ``integer`` draws small integers, so many items tie;
+    ``unaffordable`` puts every item above the smallest capacity, so a type
+    with that capacity can only opt out.
+    """
+    K, L = grid.num_valuations, grid.num_capacities
+    if kind in ("feasible", "perturbed"):
+        contract = random_feasible_contract(rng, grid, pay_shift=True)
+        return perturb_contract(rng, grid, contract) if kind == "perturbed" else contract
+    if kind == "integer":
+        top = int(grid.capacities[-1]) + 2
+        return Contract(rng.integers(0, top, (K, L)), rng.integers(0, 2 * top, (K, L)))
+    x = float(grid.capacities[0]) + rng.uniform(0.01, float(grid.capacities[-1]), (K, L))
+    return Contract(x, rng.uniform(0.0, 2.0 * float(np.max(x)), (K, L)))
+
+
+def best_response_reference(
+    grid: TypeGrid,
+    contract: Contract,
+    true_type: tuple[int, int],
+    tie_break: str = TIE_TRUTHFUL_FIRST,
+    tol: float = CHOICE_TOL,
+) -> tuple[int, int] | None:
+    """Per-type best response written out on its own (one type at a time).
+
+    Only items whose repurchase amount fits the client's capacity are
+    selectable; opting out is always available and worth 0.  Ties within
+    ``tol`` go to the truthful item first (then the lexicographically lowest
+    item) in ``truthful_first`` mode, or to the highest-payment item in
+    ``max_payment`` mode.  A client indifferent between signing and opting
+    out signs.
+    """
+    check_shapes(grid, contract)
+    if tie_break not in _TIE_MODES:
+        raise ValidationError(f"tie_break must be one of {_TIE_MODES}")
+    k, l = true_type
+    grid.check_item(k, l)
+    cap = float(grid.capacities[l])
+    x, p = contract.allocation, contract.payment
+    utilities = p - grid.valuations[k] * x
+    admissible = x <= cap  # hard restriction, no tolerance
+
+    if np.any(admissible):
+        item_best = float(np.max(utilities[admissible]))
+    else:
+        item_best = -math.inf
+    best = max(item_best, 0.0)
+    tied = admissible & (utilities >= best - tol)
+    if not np.any(tied):
+        return OPT_OUT
+    if tie_break == TIE_TRUTHFUL_FIRST:
+        if tied[k, l]:
+            return (k, l)
+        k2, l2 = np.argwhere(tied)[0]  # lexicographically lowest (k, l)
+        return (int(k2), int(l2))
+    pay = np.where(tied, p, -math.inf)
+    k2, l2 = np.argwhere(pay == pay.max())[0]
+    return (int(k2), int(l2))
+
+
+def regret_bruteforce(grid: TypeGrid, contract: Contract, types=None) -> float:
+    """Largest gain from an affordable misreport, by plain loops.
+
+    ``types`` restricts the true types to these l-major flat indices
+    (l * K + k); by default every type counts.  Floored at zero.
+    """
+    x, p, v, c = contract.allocation, contract.payment, grid.valuations, grid.capacities
+    K, L = x.shape
+    flat = range(K * L) if types is None else sorted({int(t) for t in np.ravel(types)})
+    regret = 0.0
+    for t in flat:
+        l, k = divmod(t, K)
+        truthful = p[k, l] - v[k] * x[k, l]
+        for k2 in range(K):
+            for l2 in range(L):
+                if x[k2, l2] <= c[l]:
+                    regret = max(regret, float((p[k2, l2] - v[k] * x[k2, l2]) - truthful))
+    return regret

@@ -127,6 +127,21 @@ def test_missing_file_is_invalid_input(tmp_path):
     assert proc.returncode == 2
 
 
+def test_exact_crossing_budget_is_invalid_input(tmp_path):
+    vals = list(range(1, 13))
+    doc = {
+        "valuations": vals,
+        "capacities": vals,
+        "clients": [{"probs": [[1.0 / 144.0] * 12] * 12}],
+        "alpha": 6.0,
+        "penalty_M": 2.0,
+        "demand_floor_D": 6.0,
+    }
+    proc = run_cli("solve", write_json(tmp_path / "inst.json", doc))
+    assert proc.returncode == 2
+    assert "crossing trials" in proc.stderr
+
+
 def test_single_method_on_multi_capacity_instance(tmp_path):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     proc = run_cli("solve", inst, "--method", "single")

@@ -21,6 +21,8 @@ from helpers import (
     random_feasible_contract,
     random_grid,
     random_instance,
+    random_menu,
+    regret_bruteforce,
 )
 
 GRID_K2 = TypeGrid([1.0, 2.0], [10.0])
@@ -110,6 +112,12 @@ def test_ic_full_matches_bruteforce():
             contract = perturb_contract(rng, grid, contract)
         _, margin = check_ic_full(grid, contract, tol=1e-9)
         assert margin == pytest.approx(ic_slack_bruteforce(grid, contract, 1e-9), abs=1e-12)
+    for i in range(200):
+        grid = random_grid(rng, max_k=4, max_l=4, integer=i % 2 == 0)
+        contract = random_menu(rng, grid, ("integer", "unaffordable")[i % 2])
+        for tol in (0.0, 1e-9, 0.5):
+            _, margin = check_ic_full(grid, contract, tol=tol)
+            assert margin == ic_slack_bruteforce(grid, contract, tol)
 
 
 def test_ic_decomposed_identical_columns():
@@ -264,6 +272,16 @@ def test_regret_zero_iff_exact_ic_on_integer_contracts():
         contract = Contract(x, p)
         ic, _ = check_ic_full(grid, contract, tol=0.0)
         assert ic == (compute_regret(grid, contract) == 0.0)
+        assert compute_regret(grid, contract) == regret_bruteforce(grid, contract)
+
+
+def test_regret_matches_bruteforce():
+    rng = np.random.default_rng(59)
+    for i in range(400):
+        grid = random_grid(rng, max_k=4, max_l=4, integer=i % 2 == 0)
+        kind = ("feasible", "perturbed", "integer", "unaffordable")[i % 4]
+        contract = random_menu(rng, grid, kind)
+        assert compute_regret(grid, contract) == regret_bruteforce(grid, contract)
 
 
 def test_ic_full_implies_small_regret():

@@ -17,13 +17,20 @@ from buyback import (
     provider_expected_utility,
     simulate,
 )
+from buyback.simulation import _choice_tables, _sample_type_indices
 from helpers import (
+    best_response_reference,
     linear_penalty_regime,
     perturb_contract,
+    point_mass_clients,
     random_feasible_contract,
     random_grid,
     random_instance,
+    random_menu,
+    regret_bruteforce,
 )
+
+MENU_KINDS = ("feasible", "perturbed", "integer", "unaffordable")
 
 GRID_K2 = TypeGrid([1.0, 2.0], [10.0])
 IC_CONTRACT = Contract([[10.0], [4.0]], [[14.0], [8.0]])
@@ -70,6 +77,31 @@ def test_best_response_never_exceeds_capacity():
                 if choice is not OPT_OUT:
                     k2, l2 = choice
                     assert contract.allocation[k2, l2] <= grid.capacities[l]
+
+
+@pytest.mark.parametrize("tie_break", ["truthful_first", "max_payment"])
+def test_choices_match_reference(tie_break):
+    rng = np.random.default_rng(211)
+    opt_outs = 0
+    for i in range(200):
+        inst = random_instance(rng, max_k=4, max_l=4, integer=i % 2 == 0)
+        grid = inst.grid
+        K, L = grid.num_valuations, grid.num_capacities
+        contract = random_menu(rng, grid, MENU_KINDS[i % 4])
+        chosen_x, chosen_p, codes = _choice_tables(inst, contract, tie_break)
+        for l in range(L):
+            for k in range(K):
+                ref = best_response_reference(grid, contract, (k, l), tie_break)
+                assert best_response(grid, contract, (k, l), tie_break) == ref
+                t = l * K + k
+                if ref is OPT_OUT:
+                    opt_outs += 1
+                    assert (codes[t], chosen_x[t], chosen_p[t]) == (-1, 0.0, 0.0)
+                else:
+                    assert codes[t] == ref[0] * L + ref[1]
+                    assert chosen_x[t] == contract.allocation[ref]
+                    assert chosen_p[t] == contract.payment[ref]
+    assert opt_outs > 0
 
 
 def test_simulation_config_validation():
@@ -181,12 +213,19 @@ def test_misreport_gain_finds_known_violation():
 
 def test_misreport_gain_bounded_by_regret():
     rng = np.random.default_rng(139)
-    for _ in range(50):
+    for i in range(50):
         inst = random_instance(rng)
         contract = random_feasible_contract(rng, inst.grid)
         if rng.random() < 0.5:
             contract = perturb_contract(rng, inst.grid, contract)
-        gain = estimate_misreport_gain(
-            inst, contract, SimulationConfig(replications=300, seed=5)
-        )
+        config = SimulationConfig(replications=300, seed=5)
+        gain = estimate_misreport_gain(inst, contract, config)
         assert gain <= compute_regret(inst.grid, contract) + 1e-12
+        types = _sample_type_indices(inst, config)
+        assert gain == regret_bruteforce(inst.grid, contract, types)
+        # point-mass clients leave most types unsampled
+        sparse = MarketInstance(inst.grid, point_mass_clients(rng, inst.grid, 2), 1.0, 0.0, 0.0)
+        menu = random_menu(rng, inst.grid, MENU_KINDS[i % 4])
+        assert estimate_misreport_gain(sparse, menu, config) == regret_bruteforce(
+            inst.grid, menu, _sample_type_indices(sparse, config)
+        )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,16 @@ def test_oracle_candidate_budget_guard():
         oracle_grid_search(inst, 1e-4)
     with pytest.raises(ValidationError):
         oracle_grid_search(inst, 0.0)
+
+
+def test_exact_crossing_budget_guard():
+    # 2.7M grid candidates fit the budget; the crossing loop's 30M trials do not
+    vals = np.arange(1.0, 13.0)
+    inst = one_client_instance(vals, vals, np.full((12, 12), 1.0 / 144.0), 6.0, 2.0, 6.0)
+    start = time.perf_counter()
+    with pytest.raises(CandidateCountError, match="29953728 crossing trials"):
+        solve_multi_reduced(inst)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reduced_form_equivalence_sample():
