@@ -11,14 +11,19 @@ capacities exactly when it has the reduced form x[k, l] = min(c[l], y[k])
 with c_max >= y[0] >= ... >= y[K-1] >= 0.  In that parameterization the
 objective is piecewise linear with kinks only at the capacities and at the
 supply-equals-demand-floor hyperplane, so its exact maximum sits at a vertex:
-every y[k] at a value in {0, c[1], ..., c[L]} except at most one consecutive
-block pinned by the demand-floor crossing.  The exact solvers enumerate
-precisely those candidates.
+every y[k] at a grid level in {0, c[1], ..., c[L]} except at most one
+consecutive block pinned by the demand-floor crossing.  The exact solvers
+find the best vertex without listing them: the objective is a sum of per-row
+terms over non-increasing levels, so a DP over rows and levels keeps, per
+(row, level), the single best suffix when M * D = 0, and otherwise the
+Pareto front of (linear objective, supply) pairs, from which the best
+crossing of every block is paired up.  The few survivors are ranked by the
+full objective.
 
 Three solving routes live here:
 
 * ``solve_single_capacity`` / ``solve_multi_reduced`` — exact, via the
-  reduced vertex enumeration above (epsilon = 0, complementarity exact);
+  reduced-form DP above (epsilon = 0, complementarity exact);
 * ``solve_multi_relaxed`` — multi-start projected pattern search over the
   full K*L allocation with the bilinear greediness constraint relaxed to
   (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for all ordered pairs;
@@ -45,14 +50,15 @@ from .model import (
 )
 from .payments import column_payments, optimal_payment_multi
 
-#: Hard cap on brute-force candidate counts (oracle and exact enumeration).
+#: Hard cap on the oracle's lattice size and on the exact DP's front points
+#: plus crossing pairs.
 MAX_CANDIDATES = 10_000_000
 
 _EVAL_CHUNK = 1 << 18
 
 
 class CandidateCountError(ValidationError):
-    """The requested enumeration would exceed the candidate budget."""
+    """The requested search would exceed the candidate budget."""
 
 
 class SolveMethod(str, enum.Enum):
@@ -68,8 +74,9 @@ class SolveResult:
 
     ``expected_utility`` re-evaluates the returned contract under the
     instance; ``aux_t`` is the linearization variable min(0, supply - D);
-    ``epsilon`` is 0 for exact methods.  ``diagnostics`` carries candidate
-    and iteration counts.
+    ``epsilon`` is 0 for exact methods.  ``diagnostics`` carries counts:
+    candidates re-scored, DP front points and crossing pairs for the exact
+    methods, starts and iterations for the relaxed one.
     """
 
     contract: Contract
@@ -96,82 +103,6 @@ def _expected_supply(w: np.ndarray, allocation: np.ndarray) -> float:
     return float(np.einsum("kl,lk->", allocation, w))
 
 
-def _nonincreasing_tuples(values: np.ndarray, count: int):
-    """All non-increasing ``count``-tuples drawn from ``values`` (ascending)."""
-    if count == 0:
-        yield ()
-        return
-    for combo in itertools.combinations_with_replacement(values[::-1], count):
-        yield combo
-
-
-def _grid_candidates(grid_values: np.ndarray, K: int):
-    for combo in itertools.combinations_with_replacement(grid_values[::-1], K):
-        yield np.array(combo)
-
-
-def _crossing_candidates(
-    grid_values: np.ndarray,
-    caps: np.ndarray,
-    w: np.ndarray,
-    demand_floor: float,
-) -> list[np.ndarray]:
-    """Vertices where a block of equal y-coordinates sits on supply == D.
-
-    For each consecutive block [a..b], each capacity segment, and each grid
-    assignment of the remaining coordinates, at most one block value makes
-    the expected supply hit the demand floor; that value is a candidate.
-    """
-    K = w.shape[1]
-    L = caps.size
-    ngrid = grid_values.size  # == L + 1, grid_values[m] == c^m with c^0 = 0
-    # H[j, gi] = expected supply contribution of coordinate j held at grid value gi
-    H = w.T @ np.minimum(caps[:, None], grid_values[None, :])
-    out: list[np.ndarray] = []
-    for a in range(K):
-        for b in range(a, K):
-            block = slice(a, b + 1)
-            for m in range(L):
-                slope = float(np.sum(w[m:, block]))
-                if slope <= 0.0:
-                    continue
-                const = float(np.sum(w[:m, block] * caps[:m, None]))
-                lo_val, hi_val = grid_values[m], grid_values[m + 1]
-                for prefix in _nonincreasing_tuples(grid_values[m + 1 :], a):
-                    rest_prefix = sum(
-                        H[j, m + 1 + int(np.searchsorted(grid_values[m + 1 :], prefix[j]))]
-                        for j in range(a)
-                    )
-                    for suffix in _nonincreasing_tuples(grid_values[: m + 1], K - 1 - b):
-                        rest = rest_prefix + sum(
-                            H[b + 1 + j, int(np.searchsorted(grid_values, suffix[j]))]
-                            for j in range(K - 1 - b)
-                        )
-                        theta = (demand_floor - rest - const) / slope
-                        if lo_val - 1e-12 <= theta <= hi_val + 1e-12:
-                            theta = min(max(theta, lo_val), hi_val)
-                            y = np.empty(K)
-                            y[:a] = prefix
-                            y[block] = theta
-                            y[b + 1 :] = suffix
-                            out.append(y)
-    return out
-
-
-def _count_grid_candidates(K: int, L: int) -> int:
-    return math.comb(K + L, K)
-
-
-def _count_crossing_loops(K: int, L: int) -> int:
-    """Innermost iterations of ``_crossing_candidates``, from its loop bounds."""
-    return sum(
-        math.comb(L - m + a - 1, a) * math.comb(m + K - 1 - b, K - 1 - b)
-        for a in range(K)
-        for b in range(a, K)
-        for m in range(L)
-    )
-
-
 def _best_by_key(candidates: np.ndarray, objective: np.ndarray, supply: np.ndarray):
     """Index of the best candidate: objective, then supply, then lex-larger y."""
     top = np.flatnonzero(objective == objective.max())
@@ -184,6 +115,127 @@ def _best_by_key(candidates: np.ndarray, objective: np.ndarray, supply: np.ndarr
     return i, (float(objective[i]), float(supply[i]), tuple(candidates[i]))
 
 
+def _best_levels(gain: np.ndarray, mass: np.ndarray) -> tuple:
+    """The non-increasing level tuple ranked first by (gain, mass, levels).
+
+    Suffix DP over rows: ``best[j]`` is the top-ranked tuple for rows k..K-1
+    whose first level is <= j.  Python tuples compare in exactly that order.
+    """
+    best = [(0.0, 0.0, ())] * gain.shape[1]
+    for g_row, s_row in zip(gain.tolist()[::-1], mass.tolist()[::-1]):
+        row = []
+        for j, (g, s, levels) in enumerate(best):
+            here = (g_row[j] + g, s_row[j] + s, (j, *levels))
+            row.append(max(row[-1], here) if row else here)
+        best = row
+    return best[-1][2]
+
+
+def _pareto_front(g: np.ndarray, s: np.ndarray, levels: np.ndarray):
+    """The (g, s) Pareto front of a candidate set, best g first.
+
+    Rows rank by g, then s, then the lexicographically larger level tuple,
+    and a row stays when its s beats every higher-ranked row's.
+    """
+    order = np.lexsort(np.vstack([-levels[:, ::-1].T, -s, -g]))
+    ranked = s[order]
+    order = order[np.concatenate([[True], ranked[1:] > np.maximum.accumulate(ranked)[:-1]])]
+    return g[order], s[order], levels[order]
+
+
+def _level_fronts(gain, mass, rows, suffix: bool, points: int):
+    """Pareto fronts of partial level tuples, per rows taken and level bound.
+
+    Rows are added in the order of ``rows``.  With ``suffix`` each row's
+    level is prepended and ``out[n][j]`` holds tuples whose first level is
+    <= j; otherwise it is appended and ``out[n][j]`` holds tuples whose last
+    level is >= j (j >= 1).  A point is (sum of gain, sum of mass, levels).
+    ``points`` counts on from the given total; CandidateCountError is raised
+    once it passes MAX_CANDIDATES.
+    """
+    width = gain.shape[1]
+    empty = np.zeros((1, 0), dtype=np.min_scalar_type(-width))
+    out = [[(np.zeros(1), np.zeros(1), empty)] * width]
+    for k in rows:
+        row = [None] * width
+        for j in range(width) if suffix else range(width - 1, 0, -1):
+            g, s, lev = out[-1][j]
+            col = np.full((len(g), 1), j, dtype=lev.dtype)
+            stacked = np.hstack([col, lev] if suffix else [lev, col])
+            here = (g + gain[k, j], s + mass[k, j], stacked)
+            merged = row[j - 1] if suffix else row[j + 1] if j + 1 < width else None
+            if merged is not None:
+                here = tuple(np.concatenate(pair) for pair in zip(merged, here))
+            row[j] = _pareto_front(*here)
+            points += len(row[j][0])
+            if points > MAX_CANDIDATES:
+                raise CandidateCountError(
+                    f"exact solve needs more than {MAX_CANDIDATES} front points"
+                )
+        out.append(row)
+    return out, points
+
+
+def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
+    """Grid vertices and demand-floor crossings that can win when M * D > 0.
+
+    The objective lin + M * min(0, supply - D) grows with both lin and
+    supply, so a winning grid tuple, and either side of a winning crossing,
+    is on its (lin, supply) Pareto front.  A crossing holds the block
+    [a..b] at theta in capacity segment m: the rows before it sit at levels
+    >= m+1 and the rows after it at levels <= m, so any prefix pairs with
+    any suffix, theta follows from supply == D, and the objective there is
+    lin.  Per (a, b, m) the best pair with theta in the segment is kept.
+    """
+    K, L = coef.shape
+    suffix, points = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
+    suffix.reverse()  # suffix[k][j]: rows k..K-1, level of row k <= j
+    prefix, points = _level_fronts(gain, mass, range(K - 1), False, points)
+    # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
+
+    blocks = []
+    pairs = 0
+    for a in range(K):
+        for b in range(a, K):
+            for m in range(L):
+                slope = float(np.sum(w[m:, a : b + 1]))
+                if slope > 0.0:
+                    blocks.append((a, b, m, slope))
+                    pairs += len(prefix[a][m + 1][0]) * len(suffix[b + 1][m][0])
+    if points + pairs > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"exact solve needs {points} front points and {pairs} crossing pairs "
+            f"(limit {MAX_CANDIDATES})"
+        )
+
+    H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
+    crossings = []
+    for a, b, m, slope in blocks:
+        const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
+        gP, sP, levP = prefix[a][m + 1]
+        gQ, sQ, levQ = suffix[b + 1][m]
+        # fronts run in increasing s, and theta falls as s rises
+        if (D - (sP[0] + sQ[0]) - const) / slope < G[m] - 1e-12:
+            continue
+        if (D - (sP[-1] + sQ[-1]) - const) / slope > G[m + 1] + 1e-12:
+            continue
+        theta = (D - (sP[:, None] + sQ[None, :]) - const) / slope
+        inside = (theta >= G[m] - 1e-12) & (theta <= G[m + 1] + 1e-12)
+        if not inside.any():
+            continue
+        value = gP[:, None] + gQ[None, :] + float(np.sum(coef[a : b + 1, m:])) * theta
+        i, q = np.unravel_index(np.argmax(np.where(inside, value, -np.inf)), value.shape)
+        # theta again, the supply summed row by row in y order, so a
+        # crossing's coordinates do not depend on how the fronts were built
+        rest = sum(H[j, levP[i, j]] for j in range(a))
+        rest = rest + sum(H[b + 1 + j, levQ[q, j]] for j in range(K - 1 - b))
+        t = (D - rest - const) / slope
+        if G[m] - 1e-12 <= t <= G[m + 1] + 1e-12:
+            t = min(max(t, G[m]), G[m + 1])
+            crossings.append(np.concatenate([G[levP[i]], np.full(b - a + 1, t), G[levQ[q]]]))
+    return suffix[0][L][2], crossings, points, pairs
+
+
 def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
     grid = instance.grid
     K, L = grid.num_valuations, grid.num_capacities
@@ -191,38 +243,27 @@ def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
     coef, w = _reduced_coefficients(instance)
     M, D = instance.penalty, instance.demand_floor
 
-    n_grid = _count_grid_candidates(K, L)
-    if n_grid > MAX_CANDIDATES:
-        raise CandidateCountError(
-            f"exact enumeration needs {n_grid} grid candidates (limit {MAX_CANDIDATES})"
-        )
-    n_trials = _count_crossing_loops(K, L) if M > 0.0 and D > 0.0 else 0
-    if n_grid + n_trials > MAX_CANDIDATES:
-        raise CandidateCountError(
-            f"exact enumeration needs {n_grid} grid candidates and {n_trials} "
-            f"crossing trials (limit {MAX_CANDIDATES})"
-        )
-    grid_values = np.concatenate([[0.0], caps])
-    candidates = list(_grid_candidates(grid_values, K))
-    n_cross = 0
+    G = np.concatenate([[0.0], caps])  # G[j]: the y-value of grid level j
+    X = np.minimum(caps[:, None], G[None, :])  # X[l, j]: allocation at level j
+    # gain[k, j] and mass[k, j]: linear objective and expected supply of row
+    # k at level j, summed over capacities in one fixed order so that levels
+    # differing only in zero-weight capacities tie exactly
+    gain = np.sum(coef[:, :, None] * X, axis=1)
+    mass = np.sum(w.T[:, :, None] * X, axis=1)
     if M > 0.0 and D > 0.0:
-        crossings = _crossing_candidates(grid_values, caps, w, D)
-        n_cross = len(crossings)
-        candidates.extend(crossings)
+        grid_levels, crossings, points, pairs = _penalty_candidates(
+            gain, mass, coef, w, caps, G, X, D
+        )
+    else:  # the objective is lin: one best suffix per (row, level) suffices
+        grid_levels, crossings, points, pairs = [_best_levels(gain, mass)], [], K * (L + 1), 0
 
-    best_idx_key = None
-    best_y = None
-    Y_all = np.array(candidates)
-    for start in range(0, Y_all.shape[0], _EVAL_CHUNK):
-        Y = Y_all[start : start + _EVAL_CHUNK]
-        X = np.minimum(caps[None, None, :], Y[:, :, None])
-        lin = np.einsum("ckl,kl->c", X, coef)
-        supply = np.einsum("ckl,lk->c", X, w)
-        obj = lin + M * np.minimum(0.0, supply - D)
-        i, key = _best_by_key(Y, obj, supply)
-        if best_idx_key is None or key > best_idx_key:
-            best_idx_key = key
-            best_y = Y[i]
+    # re-score the survivors together: objective, then supply, then lex-larger y
+    Y = np.vstack([G[np.asarray(grid_levels, dtype=np.intp)], *crossings])
+    Xc = np.minimum(caps[None, None, :], Y[:, :, None])
+    lin = np.einsum("ckl,kl->c", Xc, coef)
+    supply = np.einsum("ckl,lk->c", Xc, w)
+    obj = lin + M * np.minimum(0.0, supply - D)
+    best_y = Y[_best_by_key(Y, obj, supply)[0]]
 
     x = np.minimum(caps[None, :], best_y[:, None])
     contract = Contract(x, optimal_payment_multi(grid, x))
@@ -234,9 +275,11 @@ def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
         epsilon=0.0,
         aux_t=min(0.0, supply - D),
         diagnostics={
-            "candidates": len(candidates),
-            "grid_candidates": n_grid,
-            "crossing_candidates": n_cross,
+            "candidates": len(Y),
+            "grid_candidates": len(grid_levels),
+            "crossing_candidates": len(crossings),
+            "front_points": points,
+            "crossing_pairs": pairs,
         },
     )
 
@@ -251,7 +294,13 @@ def solve_single_capacity(instance: MarketInstance) -> SolveResult:
 
 
 def solve_multi_reduced(instance: MarketInstance) -> SolveResult:
-    """Exact optimal contract via the reduced min(capacity, y) enumeration."""
+    """Exact optimal contract over reduced allocations min(capacity, y).
+
+    A DP over rows and grid levels finds the best vertex; ties go to the
+    larger supply, then the lexicographically larger y.  Raises
+    CandidateCountError when its fronts and crossing pairs would exceed
+    MAX_CANDIDATES.
+    """
     return _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,17 @@ from buyback import (
     ValidationError,
     optimal_payment_multi,
 )
-from buyback.model import check_shapes
+from buyback.model import check_shapes, provider_expected_utility
 from buyback.simulation import _TIE_MODES, CHOICE_TOL, TIE_TRUTHFUL_FIRST
+from buyback.solver import (
+    MAX_CANDIDATES,
+    CandidateCountError,
+    SolveMethod,
+    SolveResult,
+    _best_by_key,
+    _expected_supply,
+    _reduced_coefficients,
+)
 
 
 def random_grid(rng, max_k=3, max_l=3, integer=False, k=None, l=None) -> TypeGrid:
@@ -263,3 +273,149 @@ def regret_bruteforce(grid: TypeGrid, contract: Contract, types=None) -> float:
                 if x[k2, l2] <= c[l]:
                     regret = max(regret, float((p[k2, l2] - v[k] * x[k2, l2]) - truthful))
     return regret
+
+
+_EVAL_CHUNK = 1 << 18
+
+
+def _nonincreasing_tuples(values: np.ndarray, count: int):
+    """All non-increasing ``count``-tuples drawn from ``values`` (ascending)."""
+    if count == 0:
+        yield ()
+        return
+    for combo in itertools.combinations_with_replacement(values[::-1], count):
+        yield combo
+
+
+def _grid_candidates(grid_values: np.ndarray, K: int):
+    for combo in itertools.combinations_with_replacement(grid_values[::-1], K):
+        yield np.array(combo)
+
+
+def _crossing_candidates(
+    grid_values: np.ndarray,
+    caps: np.ndarray,
+    w: np.ndarray,
+    demand_floor: float,
+) -> list[np.ndarray]:
+    """Vertices where a block of equal y-coordinates sits on supply == D.
+
+    For each consecutive block [a..b], each capacity segment, and each grid
+    assignment of the remaining coordinates, at most one block value makes
+    the expected supply hit the demand floor; that value is a candidate.
+    """
+    K = w.shape[1]
+    L = caps.size
+    ngrid = grid_values.size  # == L + 1, grid_values[m] == c^m with c^0 = 0
+    # H[j, gi] = expected supply contribution of coordinate j held at grid value gi
+    H = w.T @ np.minimum(caps[:, None], grid_values[None, :])
+    out: list[np.ndarray] = []
+    for a in range(K):
+        for b in range(a, K):
+            block = slice(a, b + 1)
+            for m in range(L):
+                slope = float(np.sum(w[m:, block]))
+                if slope <= 0.0:
+                    continue
+                const = float(np.sum(w[:m, block] * caps[:m, None]))
+                lo_val, hi_val = grid_values[m], grid_values[m + 1]
+                for prefix in _nonincreasing_tuples(grid_values[m + 1 :], a):
+                    rest_prefix = sum(
+                        H[j, m + 1 + int(np.searchsorted(grid_values[m + 1 :], prefix[j]))]
+                        for j in range(a)
+                    )
+                    for suffix in _nonincreasing_tuples(grid_values[: m + 1], K - 1 - b):
+                        rest = rest_prefix + sum(
+                            H[b + 1 + j, int(np.searchsorted(grid_values, suffix[j]))]
+                            for j in range(K - 1 - b)
+                        )
+                        theta = (demand_floor - rest - const) / slope
+                        if lo_val - 1e-12 <= theta <= hi_val + 1e-12:
+                            theta = min(max(theta, lo_val), hi_val)
+                            y = np.empty(K)
+                            y[:a] = prefix
+                            y[block] = theta
+                            y[b + 1 :] = suffix
+                            out.append(y)
+    return out
+
+
+def _count_grid_candidates(K: int, L: int) -> int:
+    return math.comb(K + L, K)
+
+
+def _count_crossing_loops(K: int, L: int) -> int:
+    """Innermost iterations of ``_crossing_candidates``, from its loop bounds."""
+    return sum(
+        math.comb(L - m + a - 1, a) * math.comb(m + K - 1 - b, K - 1 - b)
+        for a in range(K)
+        for b in range(a, K)
+        for m in range(L)
+    )
+
+
+def solve_reduced_enumeration(instance: MarketInstance) -> SolveResult:
+    """``solve_multi_reduced`` by enumerating every reduced vertex.
+
+    Every non-increasing tuple of grid levels, plus every demand-floor
+    crossing (a block of equal coordinates at the value that puts the
+    expected supply on the floor, for every grid assignment of the other
+    coordinates), evaluated in chunks and ranked by objective, then supply,
+    then the lexicographically larger y.  The reference the exact solver
+    is compared against bitwise.
+    """
+    method = SolveMethod.MULTI_REDUCED_EXACT
+    grid = instance.grid
+    K, L = grid.num_valuations, grid.num_capacities
+    caps = grid.capacities
+    coef, w = _reduced_coefficients(instance)
+    M, D = instance.penalty, instance.demand_floor
+
+    n_grid = _count_grid_candidates(K, L)
+    if n_grid > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"exact enumeration needs {n_grid} grid candidates (limit {MAX_CANDIDATES})"
+        )
+    n_trials = _count_crossing_loops(K, L) if M > 0.0 and D > 0.0 else 0
+    if n_grid + n_trials > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"exact enumeration needs {n_grid} grid candidates and {n_trials} "
+            f"crossing trials (limit {MAX_CANDIDATES})"
+        )
+    grid_values = np.concatenate([[0.0], caps])
+    candidates = list(_grid_candidates(grid_values, K))
+    n_cross = 0
+    if M > 0.0 and D > 0.0:
+        crossings = _crossing_candidates(grid_values, caps, w, D)
+        n_cross = len(crossings)
+        candidates.extend(crossings)
+
+    best_idx_key = None
+    best_y = None
+    Y_all = np.array(candidates)
+    for start in range(0, Y_all.shape[0], _EVAL_CHUNK):
+        Y = Y_all[start : start + _EVAL_CHUNK]
+        X = np.minimum(caps[None, None, :], Y[:, :, None])
+        lin = np.einsum("ckl,kl->c", X, coef)
+        supply = np.einsum("ckl,lk->c", X, w)
+        obj = lin + M * np.minimum(0.0, supply - D)
+        i, key = _best_by_key(Y, obj, supply)
+        if best_idx_key is None or key > best_idx_key:
+            best_idx_key = key
+            best_y = Y[i]
+
+    x = np.minimum(caps[None, :], best_y[:, None])
+    contract = Contract(x, optimal_payment_multi(grid, x))
+    supply = _expected_supply(w, x)
+    return SolveResult(
+        contract=contract,
+        expected_utility=provider_expected_utility(instance, contract),
+        method=method,
+        epsilon=0.0,
+        aux_t=min(0.0, supply - D),
+        diagnostics={
+            "candidates": len(candidates),
+            "grid_candidates": n_grid,
+            "crossing_candidates": n_cross,
+        },
+    )

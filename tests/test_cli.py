@@ -128,18 +128,18 @@ def test_missing_file_is_invalid_input(tmp_path):
 
 
 def test_exact_crossing_budget_is_invalid_input(tmp_path):
-    vals = list(range(1, 13))
+    vals = list(range(1, 21))
     doc = {
         "valuations": vals,
         "capacities": vals,
-        "clients": [{"probs": [[1.0 / 144.0] * 12] * 12}],
+        "clients": [{"probs": [[1.0 / 400.0] * 20] * 20}],
         "alpha": 6.0,
         "penalty_M": 2.0,
         "demand_floor_D": 6.0,
     }
     proc = run_cli("solve", write_json(tmp_path / "inst.json", doc))
     assert proc.returncode == 2
-    assert "crossing trials" in proc.stderr
+    assert "78263394 crossing pairs" in proc.stderr
 
 
 def test_single_method_on_multi_capacity_instance(tmp_path):

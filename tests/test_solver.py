@@ -29,6 +29,7 @@ from helpers import (
     random_instance,
     representable_as_min_form,
     satisfies_greedy_and_feasible,
+    solve_reduced_enumeration,
 )
 
 
@@ -241,14 +242,84 @@ def test_oracle_candidate_budget_guard():
         oracle_grid_search(inst, 0.0)
 
 
-def test_exact_crossing_budget_guard():
-    # 2.7M grid candidates fit the budget; the crossing loop's 30M trials do not
-    vals = np.arange(1.0, 13.0)
-    inst = one_client_instance(vals, vals, np.full((12, 12), 1.0 / 144.0), 6.0, 2.0, 6.0)
+def family_instance(n, alpha, penalty, demand):
+    """vals = caps = 1..n, one client spread uniformly over the n*n types."""
+    vals = np.arange(1.0, n + 1.0)
+    return one_client_instance(vals, vals, np.full((n, n), 1.0 / n**2), alpha, penalty, demand)
+
+
+def assert_solves_audit_clean(inst, seconds):
     start = time.perf_counter()
-    with pytest.raises(CandidateCountError, match="29953728 crossing trials"):
+    res = solve_multi_reduced(inst)
+    assert time.perf_counter() - start < seconds
+    report = check_theorem1(inst.grid, res.contract, tol=1e-8)
+    assert report.feasible and report.ic_full and report.ir
+    assert_result_structure(inst, res)
+    return res
+
+
+def test_exact_penalty_solves_within_budget():
+    # 12x12 with the floor inside the supply range: beyond the crossing
+    # budget of a vertex enumeration, a fraction of a second for the DP
+    res = assert_solves_audit_clean(family_instance(12, 6.0, 2.0, 6.0), 1.0)
+    assert res.diagnostics["crossing_pairs"] > 0
+    # 10x10 with M = 2, D = 5 took 37 s as an enumeration
+    assert_solves_audit_clean(family_instance(10, 5.0, 2.0, 5.0), 1.0)
+
+
+def test_exact_free_solves_at_scale():
+    # M * D = 0 at 20x20: C(40, 20) = 1.4e11 grid vertices, one suffix per
+    # (row, level) in the DP
+    for penalty, demand in ((0.0, 6.0), (2.0, 0.0)):
+        res = assert_solves_audit_clean(family_instance(20, 10.0, penalty, demand), 0.5)
+        assert res.diagnostics["front_points"] == 20 * 21
+        assert res.diagnostics["crossing_pairs"] == 0
+
+
+def test_exact_crossing_budget_guard():
+    # the 20x20 member of the family needs 78M crossing pairs: refused
+    # after the fronts are built, before any pair is evaluated
+    inst = family_instance(20, 6.0, 2.0, 6.0)
+    start = time.perf_counter()
+    with pytest.raises(CandidateCountError, match="78263394 crossing pairs"):
         solve_multi_reduced(inst)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 2.0
+
+
+def test_exact_matches_enumeration():
+    # bitwise, against the vertex enumeration, over tie-heavy integer
+    # instances, point-mass clients, zero-weight items and both penalty regimes
+    rng = np.random.default_rng(109)
+    crossing_wins = penalised = 0
+    for i in range(400):
+        kind = i % 4
+        inst = random_instance(
+            rng,
+            max_k=5,
+            max_l=4 if kind == 1 else 5,
+            integer=kind == 1,
+            point_mass=kind == 2,
+        )
+        if kind == 3:
+            clients = []
+            for client in inst.clients:
+                probs = client.probs * (rng.random(client.probs.shape) < 0.5)
+                probs = probs if probs.sum() > 0.0 else client.probs
+                clients.append(ClientDistribution(probs / probs.sum()))
+            inst = MarketInstance(
+                inst.grid, tuple(clients), inst.alpha, inst.penalty, inst.demand_floor
+            )
+        res = solve_multi_reduced(inst)
+        ref = solve_reduced_enumeration(inst)
+        assert np.array_equal(res.contract.allocation, ref.contract.allocation)
+        assert np.array_equal(res.contract.payment, ref.contract.payment)
+        assert res.expected_utility == ref.expected_utility
+        assert res.diagnostics == solve_multi_reduced(inst).diagnostics
+        penalised += inst.penalty > 0.0 and inst.demand_floor > 0.0
+        levels = np.concatenate([[0.0], inst.grid.capacities])
+        crossing_wins += not np.all(np.isin(ref.contract.allocation[:, -1], levels))
+    assert penalised >= 100
+    assert crossing_wins >= 10  # grid vertices alone would miss these optima
 
 
 def test_reduced_form_equivalence_sample():
