@@ -18,6 +18,7 @@ never consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -86,12 +87,13 @@ def _number_list(value, key: str) -> list[float]:
 def _matrix(value, key: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise ValidationError(f"'{key}' must be a matrix with {rows} rows")
-    out = np.empty((rows, cols))
     for r, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ValidationError(f"'{key}' row {r} must hold {cols} numbers")
-        out[r] = [_number(entry, f"{key}[{r}][{c}]") for c, entry in enumerate(row)]
-    return out
+        if not set(map(type, row)) <= {int, float}:  # bool is not int here
+            for c, entry in enumerate(row):
+                _number(entry, f"{key}[{r}][{c}]")
+    return np.array(value, dtype=float)
 
 
 def parse_instance(doc) -> tuple[MarketInstance, float | None, int | None]:
@@ -346,6 +348,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buyback",

@@ -16,7 +16,13 @@ Margin conventions (one number accompanies every boolean verdict):
 
 Joint IC and regret take each type's best affordable deviation from a prefix
 maximum over the items sorted by repurchase amount; the decomposed IC checks
-enumerate item pairs on their own, so they cross-check the joint one.
+enumerate item pairs on their own, so they cross-check the joint one.  The
+enumerations are vectorised (suffix minima and maxima over higher capacities,
+masked minima, one block of pairs per row) but never use the prefix maximum.
+Rounding is monotone, so ``max_b fl(a - b) = fl(a - min b)`` and every margin
+equals the one the pairwise loops give, bit for bit.  The (rows, K*L) tables
+are built a block of valuation rows at a time, so an audit needs O(K*L)
+memory.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ AUDIT_TOL = 1e-6
 # Worst-violation keys whose violation is max(margin, 0) (resource units);
 # the others are money-side, with violation max(-margin, 0).
 _EXCESS_KEYS = ("p1", "p2", "p6")
+
+# Cells per block of the (rows, K*L) tables behind the IC checks and regret,
+# so an audit's memory stays O(K*L).
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +88,30 @@ def _truthful_utilities(grid: TypeGrid, contract: Contract) -> np.ndarray:
     return contract.payment - v * contract.allocation
 
 
+def _row_blocks(grid: TypeGrid) -> list[slice]:
+    """Valuation rows in blocks of about _BLOCK_CELLS cells of a (rows, K*L) table."""
+    K = grid.num_valuations
+    step = max(1, _BLOCK_CELLS // (K * grid.num_capacities))
+    return [slice(lo, lo + step) for lo in range(0, K, step)]
+
+
 def _best_affordable_utility(grid: TypeGrid, contract: Contract, tol: float = 0.0) -> np.ndarray:
     """best[k, l] = max of p - v[k] * x over items with x <= c[l] + tol, or -inf.
 
-    Sorted by x, the items affordable at a capacity form a prefix.
+    Sorted by x, the items affordable at a capacity form a prefix.  Rows are
+    independent, so they are built in blocks.
     """
     x, p = contract.allocation.ravel(), contract.payment.ravel()
     order = np.argsort(x, kind="stable")
-    dev = p[order] - grid.valuations[:, None] * x[order]  # (K, K*L), by ascending x
-    # Column 0 is the empty prefix: nothing affordable.
-    prefix = np.maximum.accumulate(np.insert(dev, 0, -math.inf, axis=1), axis=1)
-    return prefix[:, np.searchsorted(x[order], grid.capacities + tol, side="right")]
+    x, p = x[order], p[order]
+    ends = np.searchsorted(x, grid.capacities + tol, side="right")
+    best = np.empty((grid.num_valuations, grid.num_capacities))
+    for rows in _row_blocks(grid):
+        dev = p - grid.valuations[rows, None] * x  # (rows, K*L), by ascending x
+        # Column 0 is the empty prefix: nothing affordable.
+        prefix = np.maximum.accumulate(np.insert(dev, 0, -math.inf, axis=1), axis=1)
+        best[rows] = prefix[:, ends]
+    return best
 
 
 def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -98,17 +121,16 @@ def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
 def _greedy_margins(grid: TypeGrid, contract: Contract, tol: float) -> tuple[float, float]:
     x = contract.allocation
     c = grid.capacities
-    L = grid.num_capacities
-    monotone = 0.0
-    maximal = 0.0
-    for lo in range(L):
-        for hi in range(lo + 1, L):
-            diff = x[:, lo] - x[:, hi]  # positive where the bigger capacity gets less
-            monotone = max(monotone, float(np.max(diff)))
-            strictly_more = x[:, hi] > x[:, lo] + tol
-            if np.any(strictly_more):
-                gap = np.abs(x[strictly_more, lo] - c[lo])
-                maximal = max(maximal, float(np.max(gap)))
+    if grid.num_capacities == 1:
+        return 0.0, 0.0
+    # Least and most each row repurchases at any strictly higher capacity.
+    above_min = np.minimum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
+    above_max = np.maximum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
+    # Rounding is monotone, so the largest x[lo] - x[hi] is x[lo] - min x[hi].
+    monotone = max(0.0, float(np.max(x[:, :-1] - above_min)))
+    strictly_more = above_max > x[:, :-1] + tol
+    gap = np.abs(x[:, :-1] - c[:-1])
+    maximal = float(np.max(gap, where=strictly_more, initial=0.0))
     return monotone, maximal
 
 
@@ -126,12 +148,13 @@ def _squeeze_margin(grid: TypeGrid, contract: Contract) -> float:
     # P3: v[p]*(x[p]-x[q]) <= p[p]-p[q] <= v[q]*(x[p]-x[q]) for p < q, columnwise.
     x, p, v = contract.allocation, contract.payment, grid.valuations
     worst = math.inf
-    K = grid.num_valuations
-    for a in range(K):
-        for b in range(a + 1, K):
-            dx = x[a, :] - x[b, :]
-            dp = p[a, :] - p[b, :]
-            worst = min(worst, float(np.min(dp - v[a] * dx)), float(np.min(v[b] * dx - dp)))
+    for a in range(grid.num_valuations - 1):
+        dx = x[a] - x[a + 1:]  # (K - a - 1, L): one row per b > a
+        dp = p[a] - p[a + 1:]
+        low = np.min(dp - v[a] * dx, axis=1)
+        high = np.min(v[a + 1:, None] * dx - dp, axis=1)
+        # Pair order (b, low before high), so ties keep the first value seen.
+        worst = min(worst, *np.column_stack((low, high)).ravel().tolist())
     return 0.0 if worst is math.inf else worst
 
 
@@ -140,10 +163,11 @@ def _ic_valuation_margin(grid: TypeGrid, contract: Contract) -> float:
     x, p = contract.allocation, contract.payment
     v = grid.valuations
     truth = _truthful_utilities(grid, contract)
-    # dev[k, k2, l] = p[k2, l] - v[k] * x[k2, l]
-    dev = p[None, :, :] - v[:, None, None] * x[None, :, :]
-    slack = truth[:, None, :] - dev  # over deviations k2
-    return float(np.min(slack))
+    # slack[k, k2, l] = truth[k, l] - (p[k2, l] - v[k] * x[k2, l]), a block of k at a time
+    return min(
+        float(np.min(truth[rows, None, :] - (p[None, :, :] - v[rows, None, None] * x[None, :, :])))
+        for rows in _row_blocks(grid)
+    )
 
 
 def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float:
@@ -151,15 +175,10 @@ def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float
     x = contract.allocation
     truth = _truthful_utilities(grid, contract)
     worst = math.inf
-    for l in range(grid.num_capacities):
-        cap = grid.capacities[l]
-        admissible = x <= cap + tol  # (K, L) items affordable at capacity l
-        for l2 in range(grid.num_capacities):
-            rows = admissible[:, l2]
-            if not np.any(rows):
-                continue
-            slack = truth[rows, l] - truth[rows, l2]
-            worst = min(worst, float(np.min(slack)))
+    for l, cap in enumerate(grid.capacities):
+        # Per l2: min over k of truth[k, l] - truth[k, l2], items affordable at capacity l
+        slack = np.min(truth[:, l, None] - truth, axis=0, where=x <= cap + tol, initial=math.inf)
+        worst = min(worst, *slack.tolist())  # in l2 order, so ties keep the first value seen
     return 0.0 if worst is math.inf else worst
 
 

@@ -5,6 +5,16 @@ only, opt-out allowed), and aggregates realized provider utility.  Sampling
 uses a counter-based generator (Philox keyed by the seed, one uniform per
 (replication, client) cell), so results are reproducible and independent of
 evaluation order; aggregation is a fixed-order vectorized reduction.
+
+A uniform becomes a type by inverse CDF through a bucketed guide table
+(indexed search; Chen & Asau, 1974): the bucket of ``u`` gives the type
+directly unless a cumulative probability falls inside that bucket, and only
+those cells fall back to a binary search, so every draw equals
+``searchsorted(cum, u, side="right")``.  Replications are drawn, looked up
+and aggregated in fixed blocks.  Philox fills arrays sequentially and every
+per-replication total is a row-local sum, so the blocks change no bit of the
+result; what stays resident is the lookup tables, one block of cells, and
+16 bytes per replication (its total repurchase and its utility).
 """
 
 from __future__ import annotations
@@ -30,6 +40,11 @@ _TIE_MODES = (TIE_TRUTHFUL_FIRST, TIE_MAX_PAYMENT)
 
 #: Utility gaps below this count as ties when picking a best response.
 CHOICE_TOL = 1e-9
+
+# Guide-table buckets: a power of two, so u * _BUCKETS is exact.
+_BUCKETS = 1 << 16
+# Replications drawn, looked up and aggregated at a time.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -115,19 +130,39 @@ def best_response(
     return OPT_OUT if code < 0 else divmod(code, grid.num_capacities)
 
 
-def _sample_type_indices(
-    instance: MarketInstance, config: SimulationConfig
-) -> np.ndarray:
-    """(replications, n) flat type indices, l-major, drawn per client."""
+def _guide_table(cum: np.ndarray) -> np.ndarray:
+    """start[b] = #{cum <= b / _BUCKETS} for b in 0.._BUCKETS.
+
+    A cumulative value c counts from bucket edge ceil(c * _BUCKETS) on;
+    values above 1 never count.
+    """
+    first = np.clip(np.ceil(cum * _BUCKETS), 0, _BUCKETS + 1).astype(np.intp)
+    return np.cumsum(np.bincount(first, minlength=_BUCKETS + 2)[:-1])
+
+
+def _lookup(cum: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cum, u, side="right"), len(cum) - 1) for u in [0, 1)."""
+    b = (u * _BUCKETS).astype(np.intp)
+    idx = start[b]
+    # A bucket with no cumulative value in (b/B, (b+1)/B] maps all of itself
+    # to start[b]; the others need the search.
+    split = np.flatnonzero(idx != start[b + 1])
+    idx[split] = np.searchsorted(cum, u[split], side="right")
+    return np.minimum(idx, len(cum) - 1)
+
+
+def _type_blocks(instance: MarketInstance, config: SimulationConfig):
+    """(rows, n) flat type indices, l-major, drawn per client, one block of
+    consecutive replications at a time."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    R, n = config.replications, instance.num_clients
-    u = rng.random((R, n))
-    types = np.empty((R, n), dtype=np.intp)
-    n_types = instance.grid.num_valuations * instance.grid.num_capacities
-    for i, client in enumerate(instance.clients):
-        cum = np.cumsum(client.probs.ravel())
-        types[:, i] = np.minimum(np.searchsorted(cum, u[:, i], side="right"), n_types - 1)
-    return types
+    cums = [np.cumsum(client.probs.ravel()) for client in instance.clients]
+    tables = [(cum, _guide_table(cum)) for cum in cums]
+    for lo in range(0, config.replications, _BLOCK):
+        u = rng.random((min(_BLOCK, config.replications - lo), instance.num_clients))
+        types = np.empty(u.shape, dtype=np.intp)
+        for i, (cum, start) in enumerate(tables):
+            types[:, i] = _lookup(cum, start, u[:, i])
+        yield types
 
 
 def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str):
@@ -154,20 +189,24 @@ def simulate(
     """Estimate the provider's utility distribution under best responses."""
     check_shapes(instance.grid, contract)
     K, L = instance.grid.num_valuations, instance.grid.num_capacities
-    types = _sample_type_indices(instance, config)
     chosen_x, chosen_p, codes = _choice_tables(instance, contract, config.tie_break)
 
-    xs = chosen_x[types]  # (R, n)
-    ps = chosen_p[types]
-    total_x = xs.sum(axis=1)
-    total_p = ps.sum(axis=1)
-    shortfall = np.minimum(0.0, total_x - instance.demand_floor)
-    utility = instance.alpha * total_x - total_p + instance.penalty * shortfall
-
     R = config.replications
+    total_x = np.empty(R)
+    utility = np.empty(R)
+    type_counts = np.zeros(len(codes), dtype=np.intp)
+    for lo, types in zip(range(0, R, _BLOCK), _type_blocks(instance, config)):
+        rows = slice(lo, lo + len(types))
+        total_x[rows] = chosen_x[types].sum(axis=1)  # row sums: the same bits in any block
+        total_p = chosen_p[types].sum(axis=1)
+        shortfall = np.minimum(0.0, total_x[rows] - instance.demand_floor)
+        utility[rows] = instance.alpha * total_x[rows] - total_p + instance.penalty * shortfall
+        type_counts += np.bincount(types.ravel(), minlength=len(codes))
+
     mean = float(utility.mean())
     std_error = float(utility.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-    counts = np.bincount(codes[types].ravel() + 1, minlength=K * L + 1)
+    counts = np.zeros(K * L + 1, dtype=np.intp)
+    np.add.at(counts, codes + 1, type_counts)
     return SimulationSummary(
         mean_utility=mean,
         std_error=std_error,
@@ -191,5 +230,5 @@ def estimate_misreport_gain(
     grid = instance.grid
     check_shapes(grid, contract)
     gain = _best_affordable_utility(grid, contract) - _truthful_utilities(grid, contract)
-    types = _sample_type_indices(instance, config)
-    return max(0.0, float(np.max(gain.T.ravel()[types])))  # l-major type index
+    gain = gain.T.ravel()  # l-major type index
+    return max(0.0, *(float(np.max(gain[types])) for types in _type_blocks(instance, config)))

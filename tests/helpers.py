@@ -16,8 +16,16 @@ from buyback import (
     ValidationError,
     optimal_payment_multi,
 )
+from buyback.cli import _number
+from buyback.feasibility import _truthful_utilities
 from buyback.model import check_shapes, provider_expected_utility
-from buyback.simulation import _TIE_MODES, CHOICE_TOL, TIE_TRUTHFUL_FIRST
+from buyback.simulation import (
+    _TIE_MODES,
+    CHOICE_TOL,
+    TIE_TRUTHFUL_FIRST,
+    SimulationSummary,
+    _choice_tables,
+)
 from buyback.solver import (
     MAX_CANDIDATES,
     CandidateCountError,
@@ -419,3 +427,125 @@ def solve_reduced_enumeration(instance: MarketInstance) -> SolveResult:
             "crossing_candidates": n_cross,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Loop and whole-array references for the vectorised market paths: the
+# sampler, the streamed simulation, the decomposed audit margins and matrix
+# parsing.  The library must match each bit for bit.
+
+
+def sample_type_indices_reference(instance: MarketInstance, config) -> np.ndarray:
+    """(replications, n) flat type indices, l-major, drawn per client."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    R, n = config.replications, instance.num_clients
+    u = rng.random((R, n))
+    types = np.empty((R, n), dtype=np.intp)
+    n_types = instance.grid.num_valuations * instance.grid.num_capacities
+    for i, client in enumerate(instance.clients):
+        cum = np.cumsum(client.probs.ravel())
+        types[:, i] = np.minimum(np.searchsorted(cum, u[:, i], side="right"), n_types - 1)
+    return types
+
+
+def simulate_reference(
+    instance: MarketInstance, contract: Contract, config
+) -> SimulationSummary:
+    """The simulation with all (replications, n) cells drawn at once."""
+    check_shapes(instance.grid, contract)
+    K, L = instance.grid.num_valuations, instance.grid.num_capacities
+    types = sample_type_indices_reference(instance, config)
+    chosen_x, chosen_p, codes = _choice_tables(instance, contract, config.tie_break)
+
+    xs = chosen_x[types]  # (R, n)
+    ps = chosen_p[types]
+    total_x = xs.sum(axis=1)
+    total_p = ps.sum(axis=1)
+    shortfall = np.minimum(0.0, total_x - instance.demand_floor)
+    utility = instance.alpha * total_x - total_p + instance.penalty * shortfall
+
+    R = config.replications
+    mean = float(utility.mean())
+    std_error = float(utility.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+    counts = np.bincount(codes[types].ravel() + 1, minlength=K * L + 1)
+    return SimulationSummary(
+        mean_utility=mean,
+        std_error=std_error,
+        mean_total_repurchase=float(total_x.mean()),
+        shortfall_frequency=float(np.mean(total_x < instance.demand_floor)),
+        item_counts=counts[1:].reshape(K, L),
+        opt_out_count=int(counts[0]),
+        replications=R,
+    )
+
+
+def greedy_margins_reference(
+    grid: TypeGrid, contract: Contract, tol: float
+) -> tuple[float, float]:
+    x = contract.allocation
+    c = grid.capacities
+    L = grid.num_capacities
+    monotone = 0.0
+    maximal = 0.0
+    for lo in range(L):
+        for hi in range(lo + 1, L):
+            diff = x[:, lo] - x[:, hi]  # positive where the bigger capacity gets less
+            monotone = max(monotone, float(np.max(diff)))
+            strictly_more = x[:, hi] > x[:, lo] + tol
+            if np.any(strictly_more):
+                gap = np.abs(x[strictly_more, lo] - c[lo])
+                maximal = max(maximal, float(np.max(gap)))
+    return monotone, maximal
+
+
+def squeeze_margin_reference(grid: TypeGrid, contract: Contract) -> float:
+    # P3: v[p]*(x[p]-x[q]) <= p[p]-p[q] <= v[q]*(x[p]-x[q]) for p < q, columnwise.
+    x, p, v = contract.allocation, contract.payment, grid.valuations
+    worst = math.inf
+    K = grid.num_valuations
+    for a in range(K):
+        for b in range(a + 1, K):
+            dx = x[a, :] - x[b, :]
+            dp = p[a, :] - p[b, :]
+            worst = min(worst, float(np.min(dp - v[a] * dx)), float(np.min(v[b] * dx - dp)))
+    return 0.0 if worst is math.inf else worst
+
+
+def ic_valuation_margin_reference(grid: TypeGrid, contract: Contract) -> float:
+    # Truthful utility beats every same-column item, for every valuation.
+    x, p = contract.allocation, contract.payment
+    v = grid.valuations
+    truth = _truthful_utilities(grid, contract)
+    # dev[k, k2, l] = p[k2, l] - v[k] * x[k2, l]
+    dev = p[None, :, :] - v[:, None, None] * x[None, :, :]
+    slack = truth[:, None, :] - dev  # over deviations k2
+    return float(np.min(slack))
+
+
+def ic_capacity_margin_reference(grid: TypeGrid, contract: Contract, tol: float) -> float:
+    # Truthful utility beats every affordable same-valuation item.
+    x = contract.allocation
+    truth = _truthful_utilities(grid, contract)
+    worst = math.inf
+    for l in range(grid.num_capacities):
+        cap = grid.capacities[l]
+        admissible = x <= cap + tol  # (K, L) items affordable at capacity l
+        for l2 in range(grid.num_capacities):
+            rows = admissible[:, l2]
+            if not np.any(rows):
+                continue
+            slack = truth[rows, l] - truth[rows, l2]
+            worst = min(worst, float(np.min(slack)))
+    return 0.0 if worst is math.inf else worst
+
+
+def matrix_reference(value, key: str, rows: int, cols: int) -> np.ndarray:
+    """The CLI's matrix parsing, one checked entry at a time."""
+    if not isinstance(value, list) or len(value) != rows:
+        raise ValidationError(f"'{key}' must be a matrix with {rows} rows")
+    out = np.empty((rows, cols))
+    for r, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise ValidationError(f"'{key}' row {r} must hold {cols} numbers")
+        out[r] = [_number(entry, f"{key}[{r}][{c}]") for c, entry in enumerate(row)]
+    return out

@@ -7,6 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from buyback import ValidationError
+from buyback.cli import _build_parser, _matrix, main
+from helpers import matrix_reference
+
 INSTANCE_L1 = {
     "valuations": [1.0, 2.0],
     "capacities": [10.0],
@@ -230,3 +234,103 @@ def test_shape_mismatch_between_files(tmp_path):
     )
     proc = run_cli("verify", inst, contract)
     assert proc.returncode == 2
+
+
+def _in_process(capsys, *args):
+    try:
+        code = main(list(args))
+    except SystemExit as exc:  # argparse errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_reuses_one_parser_across_commands(tmp_path, capsys):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = str(tmp_path / "solved.json")
+    assert run_cli("solve", inst, "--out", contract).returncode == 0
+    calls = [
+        ("verify", inst, contract, "--out", "{out}"),
+        ("simulate", inst, contract, "--replications", "3000", "--seed", "5", "--out", "{out}"),
+        ("simulate", inst, contract, "--tie-break", "nope"),  # argparse error, exit 2
+        ("regret", inst, contract, "--epsilon", "0.01", "--out", "{out}"),
+        ("solve", inst, "--out", "{out}"),
+        ("verify", inst, str(tmp_path / "missing.json")),  # invalid input, exit 2
+    ]
+    for i, call in enumerate(calls):
+        fresh_out, here_out = tmp_path / f"fresh{i}.json", tmp_path / f"here{i}.json"
+        fresh = run_cli(*[a.format(out=fresh_out) for a in call])
+        code, out, err = _in_process(capsys, *[a.format(out=here_out) for a in call])
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), call
+        if "--out" in call:
+            assert here_out.read_bytes() == fresh_out.read_bytes()
+    assert _build_parser() is _build_parser()
+
+
+_MATRIX_DOC_ERRORS = [
+    (True, "must be a number, got True"),
+    ("0.5", "must be a number, got '0.5'"),
+    (None, "must be a number, got None"),
+    ([0.5], "must be a number, got [0.5]"),
+]
+
+
+@pytest.mark.parametrize("target", ["probs", "allocation", "payment"])
+@pytest.mark.parametrize("bad, message", _MATRIX_DOC_ERRORS)
+def test_matrix_entry_errors_name_the_entry(tmp_path, capsys, target, bad, message):
+    doc = json.loads(json.dumps(INSTANCE_L2))
+    contract = {"allocation": [[4.0, 4.0], [2.0, 2.0]], "payment": [[6.0, 6.0], [4.0, 4.0]]}
+    if target == "probs":
+        doc["clients"][1]["probs"][1][0] = bad
+        key = "clients[1].probs[1][0]"
+    else:
+        contract[target][1][0] = bad
+        key = f"{target}[1][0]"
+    inst = write_json(tmp_path / "inst.json", doc)
+    path = write_json(tmp_path / "c.json", contract)
+    code, out, err = _in_process(capsys, "verify", inst, path)
+    assert (code, out, err) == (2, "", f"error: '{key}' {message}\n")
+
+
+@pytest.mark.parametrize("target", ["probs", "allocation", "payment"])
+def test_matrix_short_row_names_the_row(tmp_path, capsys, target):
+    doc = json.loads(json.dumps(INSTANCE_L2))
+    contract = {"allocation": [[4.0, 4.0], [2.0, 2.0]], "payment": [[6.0, 6.0], [4.0, 4.0]]}
+    if target == "probs":
+        doc["clients"][0]["probs"][1] = [0.5]
+        key = "clients[0].probs"
+    else:
+        contract[target][1] = [1.0]
+        key = target
+    inst = write_json(tmp_path / "inst.json", doc)
+    path = write_json(tmp_path / "c.json", contract)
+    code, out, err = _in_process(capsys, "verify", inst, path)
+    assert (code, out, err) == (2, "", f"error: '{key}' row 1 must hold 2 numbers\n")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1, 2.5], [-0.0, 2**60 + 1]],
+        [[0.1, 0.2], [3, 4]],
+        [[True, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1.0, "x"]],
+        [[1.0, 1.0], [1.0]],
+        [[1.0, 1.0], "row"],
+        [[1.0, [2.0]], [1.0, None]],
+        [[1.0, 1.0]],
+        "matrix",
+    ],
+)
+def test_matrix_matches_per_entry_reference(value):
+    def outcome(parse):
+        try:
+            return parse(value, "m", 2, 2)
+        except ValidationError as exc:
+            return str(exc)
+
+    got, ref = outcome(_matrix), outcome(matrix_reference)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()

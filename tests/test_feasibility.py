@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from buyback import feasibility
 
 from buyback import (
     Contract,
@@ -17,12 +22,16 @@ from buyback import (
 )
 from helpers import (
     greedy_allocation,
+    greedy_margins_reference,
+    ic_capacity_margin_reference,
+    ic_valuation_margin_reference,
     perturb_contract,
     random_feasible_contract,
     random_grid,
     random_instance,
     random_menu,
     regret_bruteforce,
+    squeeze_margin_reference,
 )
 
 GRID_K2 = TypeGrid([1.0, 2.0], [10.0])
@@ -300,3 +309,67 @@ def test_regret_bound_values():
     assert regret_bound(TypeGrid([1.0, 2.0, 3.0], [1.0]), 0.0) == 0.0
     assert regret_bound(TypeGrid([1.0, 2.0, 3.0], [1.0]), 0.01) == pytest.approx(0.6)
     assert regret_bound(TypeGrid([5.0], [1.0]), 4.0) == pytest.approx(10.0)
+
+
+def _with_signed_zeros(rng, contract):
+    """Some entries replaced by +0.0 or -0.0, so ties between zeros of both signs occur."""
+    x, p = contract.allocation.copy(), contract.payment.copy()
+    for a in (x, p):
+        hit = rng.random(a.shape) < 0.4
+        a[hit] = np.where(rng.random(int(hit.sum())) < 0.5, -0.0, 0.0)
+    return Contract(x, p)
+
+
+def _reference_audit(grid, contract, tol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_greedy_margins", greedy_margins_reference)
+        mp.setattr(feasibility, "_squeeze_margin", squeeze_margin_reference)
+        mp.setattr(feasibility, "_ic_valuation_margin", ic_valuation_margin_reference)
+        mp.setattr(feasibility, "_ic_capacity_margin", ic_capacity_margin_reference)
+        mp.setattr(feasibility, "_BLOCK_CELLS", 1 << 40)  # every table in one block
+        return check_theorem1(grid, contract, tol=tol)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 40])
+def test_audit_margins_match_loop_references(block_cells, monkeypatch):
+    # block_cells = 1 puts each valuation row in a block of its own; with 40,
+    # a 4 x 3 grid splits its rows 3 + 1.
+    if block_cells is not None:
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(431)
+    kinds = ("feasible", "perturbed", "integer", "unaffordable")
+    for i in range(160):
+        k = 1 if i % 10 == 0 else None
+        l = 1 if i % 10 == 5 else None
+        grid = random_grid(rng, max_k=4, max_l=4, integer=i % 2 == 0, k=k, l=l)
+        contract = random_menu(rng, grid, kinds[i % 4])
+        if i % 3 == 0:
+            contract = _with_signed_zeros(rng, contract)
+        for tol in (0.0, 1e-9, 1e-6, 0.5):
+            got = check_theorem1(grid, contract, tol=tol)
+            ref = _reference_audit(grid, contract, tol)
+            assert got.margins == ref.margins
+            assert got.worst_violation == ref.worst_violation
+            # repr tells -0.0 from 0.0: reports must match byte for byte
+            assert repr(got.margins) == repr(ref.margins)
+            assert repr(got.worst_violation) == repr(ref.worst_violation)
+            assert repr(got.regret) == repr(ref.regret)
+
+
+def test_audit_budget_150x150():
+    # Budget: a 150 x 150 audit finishes in under 2 s with under 32 MB of
+    # traced allocations; its row-blocked tables keep memory O(K * L).
+    rng = np.random.default_rng(433)
+    grid = random_grid(rng, k=150, l=150)
+    contract = perturb_contract(rng, grid, random_feasible_contract(rng, grid, pay_shift=True))
+    start = time.perf_counter()
+    check_theorem1(grid, contract)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        check_theorem1(grid, contract)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

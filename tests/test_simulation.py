@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from buyback import (
     provider_expected_utility,
     simulate,
 )
-from buyback.simulation import _choice_tables, _sample_type_indices
+from buyback.simulation import (
+    _BLOCK,
+    _BUCKETS,
+    _choice_tables,
+    _guide_table,
+    _lookup,
+    _type_blocks,
+)
 from helpers import (
     best_response_reference,
     linear_penalty_regime,
@@ -28,6 +37,9 @@ from helpers import (
     random_instance,
     random_menu,
     regret_bruteforce,
+    random_clients,
+    sample_type_indices_reference,
+    simulate_reference,
 )
 
 MENU_KINDS = ("feasible", "perturbed", "integer", "unaffordable")
@@ -221,11 +233,118 @@ def test_misreport_gain_bounded_by_regret():
         config = SimulationConfig(replications=300, seed=5)
         gain = estimate_misreport_gain(inst, contract, config)
         assert gain <= compute_regret(inst.grid, contract) + 1e-12
-        types = _sample_type_indices(inst, config)
+        types = sample_type_indices_reference(inst, config)
         assert gain == regret_bruteforce(inst.grid, contract, types)
         # point-mass clients leave most types unsampled
         sparse = MarketInstance(inst.grid, point_mass_clients(rng, inst.grid, 2), 1.0, 0.0, 0.0)
         menu = random_menu(rng, inst.grid, MENU_KINDS[i % 4])
         assert estimate_misreport_gain(sparse, menu, config) == regret_bruteforce(
-            inst.grid, menu, _sample_type_indices(sparse, config)
+            inst.grid, menu, sample_type_indices_reference(sparse, config)
         )
+
+
+def _adversarial_clients(rng, grid, family, n):
+    """Client distributions that stress the guide-table sampler."""
+    L, K = grid.num_capacities, grid.num_valuations
+    if family == "point_mass":
+        return point_mass_clients(rng, grid, n)
+    if family == "plain":
+        return random_clients(rng, grid, n)
+    out = []
+    for _ in range(n):
+        raw = rng.random((L, K))
+        if family == "sparse":  # about 95% of the types never drawn
+            raw[rng.random((L, K)) < 0.95] = 0.0
+            raw.flat[rng.integers(L * K)] += 1e-3
+        else:  # "skew": a few types carry nearly all the mass
+            raw = raw**8 + 1e-300
+        out.append(ClientDistribution(raw / raw.sum()))
+    return tuple(out)
+
+
+SAMPLER_FAMILIES = ("point_mass", "sparse", "skew", "plain")
+
+
+@pytest.mark.parametrize("replications", [1, _BLOCK // 3, 3 * _BLOCK + 7])
+def test_sampler_matches_searchsorted_reference(replications):
+    rng = np.random.default_rng(401)
+    short_clients = 0
+    for i in range(24):
+        if i % 6 == 0:
+            grid = TypeGrid([1.0], [2.0])  # K * L = 1
+        else:
+            grid = random_grid(rng, k=int(rng.integers(1, 61)), l=int(rng.integers(1, 61)))
+        clients = _adversarial_clients(rng, grid, SAMPLER_FAMILIES[i % 4], int(rng.integers(1, 5)))
+        short_clients += sum(np.cumsum(c.probs.ravel())[-1] < 1.0 for c in clients)
+        inst = MarketInstance(grid, clients, 1.0, 0.0, 0.0)
+        config = SimulationConfig(replications=replications, seed=int(rng.integers(2**63)))
+        blocks = list(_type_blocks(inst, config))
+        assert all(len(b) <= _BLOCK for b in blocks)
+        types = np.concatenate(blocks)
+        assert types.dtype == np.intp
+        assert np.array_equal(types, sample_type_indices_reference(inst, config))
+    assert short_clients > 0  # rounding leaves some cumulative tables short of 1
+
+
+def test_guide_table_lookup_at_edges():
+    rng = np.random.default_rng(409)
+    edge_grid = np.arange(1, 9) * 8191.0 / _BUCKETS  # every value on a bucket edge
+    tables = [
+        np.array([1.0]),
+        np.cumsum(rng.dirichlet(np.ones(3600))),
+        np.cumsum(np.where(rng.random(50) < 0.7, 0.0, rng.random(50))) * 0.99,
+        np.concatenate([edge_grid, [1.0]]),
+        np.concatenate([edge_grid, [1.0 - 2.0**-40]]),  # short of 1
+        np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0 + 2.0**-52]),  # repeats, above 1
+    ]
+    for cum in tables:
+        cum = np.sort(cum)
+        probes = [
+            np.arange(_BUCKETS) / _BUCKETS,  # every bucket edge b / B
+            np.nextafter(np.arange(1, _BUCKETS + 1) / _BUCKETS, 0.0),  # just below each edge
+            cum,
+            np.nextafter(cum, -np.inf),
+            np.nextafter(cum, np.inf),
+            np.array([cum[-1], (cum[-1] + 1.0) / 2.0, np.nextafter(1.0, 0.0)]),
+            rng.random(10_000),
+        ]
+        u = np.concatenate(probes)
+        u = u[(u >= 0.0) & (u < 1.0)]
+        expected = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        assert np.array_equal(_lookup(cum, _guide_table(cum), u), expected)
+
+
+@pytest.mark.parametrize("tie_break", ["truthful_first", "max_payment"])
+def test_streamed_simulation_matches_whole_array_reference(tie_break):
+    rng = np.random.default_rng(419)
+    for i, replications in enumerate([1, 2, 500, _BLOCK, 3 * _BLOCK + 7] * 4):
+        inst = random_instance(rng, max_k=6, max_l=6, max_n=12, point_mass=i % 5 == 0)
+        inst = MarketInstance(inst.grid, inst.clients, inst.alpha,
+                              float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 15.0)))
+        contract = random_menu(rng, inst.grid, MENU_KINDS[i % 4])
+        config = SimulationConfig(replications=replications, seed=i, tie_break=tie_break)
+        got = simulate(inst, contract, config)
+        ref = simulate_reference(inst, contract, config)
+        for field in ("mean_utility", "std_error", "mean_total_repurchase",
+                      "shortfall_frequency", "opt_out_count", "replications"):
+            assert getattr(got, field) == getattr(ref, field), field
+            assert repr(getattr(got, field)) == repr(getattr(ref, field)), field
+        assert got.item_counts.dtype == ref.item_counts.dtype
+        assert np.array_equal(got.item_counts, ref.item_counts)
+
+
+def test_simulate_memory_does_not_scale_with_replications():
+    # Budget: n = 10 clients on a 10 x 10 grid, one million replications,
+    # under 64 MB of traced allocations (16 bytes per replication stay resident).
+    rng = np.random.default_rng(421)
+    grid = random_grid(rng, k=10, l=10)
+    inst = MarketInstance(grid, random_clients(rng, grid, 10), 2.0, 1.0, 5.0)
+    contract = random_feasible_contract(rng, grid)
+    tracemalloc.start()
+    try:
+        summary = simulate(inst, contract, SimulationConfig(replications=1_000_000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(np.sum(summary.item_counts)) + summary.opt_out_count == 10_000_000
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
