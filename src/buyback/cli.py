@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,14 +69,17 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, not UTF-8, or an integer past the digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"'{key}' is an integer beyond the float range") from None
 
 
 def _number_list(value, key: str) -> list[float]:
@@ -93,7 +97,13 @@ def _matrix(value, key: str, rows: int, cols: int) -> np.ndarray:
         if not set(map(type, row)) <= {int, float}:  # bool is not int here
             for c, entry in enumerate(row):
                 _number(entry, f"{key}[{r}][{c}]")
-    return np.array(value, dtype=float)
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer beyond the float range: convert per entry to name it
+        return np.array(
+            [[_number(entry, f"{key}[{r}][{c}]") for c, entry in enumerate(row)]
+             for r, row in enumerate(value)]
+        )
 
 
 def parse_instance(doc) -> tuple[MarketInstance, float | None, int | None]:
@@ -348,6 +358,16 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -357,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=AUDIT_TOL, help="audit tolerance")
+        p.add_argument("--tol", type=_tolerance, default=AUDIT_TOL, help="audit tolerance")
         p.add_argument("--out", help="write the machine-readable JSON report here")
 
     p_solve = sub.add_parser("solve", help="compute an optimal contract for an instance")
@@ -398,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_regret)
     p_regret.set_defaults(func=cmd_regret)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force lattice search (slow, exactish)")
+    p_oracle = sub.add_parser("oracle", help="brute-force lattice search that cross-checks solve")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     add_common(p_oracle)

@@ -262,8 +262,8 @@ def compute_regret(grid: TypeGrid, contract: Contract) -> float:
 
 def regret_bound(grid: TypeGrid, epsilon: float) -> float:
     """Regret cap (sum of valuations) * sqrt(epsilon) for relaxed solutions."""
-    if epsilon < 0.0:
-        raise ValidationError(f"epsilon = {epsilon} must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon = {epsilon} must be finite and non-negative")
     return float(np.sum(grid.valuations)) * math.sqrt(epsilon)
 
 

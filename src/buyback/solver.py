@@ -29,13 +29,17 @@ Three solving routes live here:
   (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for all ordered pairs;
 * ``oracle_grid_search`` — an independent brute force over a fine lattice of
   reduced allocations, evaluating payments and expected utility from their
-  definitions rather than through the coefficient form.
+  definitions rather than through the coefficient form.  The closed-form
+  payments are linear in the allocation, so it prices each row alone once
+  per lattice value (per-row tables of utility and supply) and scores every
+  monotone lattice point as a sum of table entries, in one walk over the
+  top row's index that pairs it with every non-increasing tail of the rows
+  below.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +58,9 @@ from .payments import column_payments, optimal_payment_multi
 #: plus crossing pairs.
 MAX_CANDIDATES = 10_000_000
 
-_EVAL_CHUNK = 1 << 18
+#: Menus per block when the oracle builds its row tables, and top indices per
+#: block of its lattice walk: with K = 1 the lattice is the axis itself.
+_ORACLE_BLOCK = 1 << 18
 
 
 class CandidateCountError(ValidationError):
@@ -344,37 +350,6 @@ def _oracle_axis(instance: MarketInstance, grid_step: float, w: np.ndarray) -> n
     return axis[(axis >= 0.0) & (axis <= cmax + 1e-12)]
 
 
-def _monotone_chunks(axis: np.ndarray, K: int, chunk: int = _EVAL_CHUNK):
-    B = axis.size
-    if K == 1:
-        for start in range(0, B, chunk):
-            yield axis[start : start + chunk, None]
-        return
-    if K == 2:
-        # pairs (axis[i], axis[j <= i]), emitted in blocks of whole i-rows
-        i = 0
-        while i < B:
-            j = i
-            total = 0
-            while j < B and (total == 0 or total + j + 1 <= chunk):
-                total += j + 1
-                j += 1
-            counts = np.arange(i + 1, j + 1)
-            first = np.repeat(axis[i:j], counts)
-            second = np.concatenate([axis[:c] for c in counts])
-            yield np.column_stack([first, second])
-            i = j
-        return
-    batch: list[tuple] = []
-    for combo in itertools.combinations_with_replacement(axis[::-1], K):
-        batch.append(combo)
-        if len(batch) >= chunk:
-            yield np.array(batch)
-            batch = []
-    if batch:
-        yield np.array(batch)
-
-
 def _menu_columns(Y: np.ndarray, caps: np.ndarray, v: np.ndarray):
     """Per-valuation allocation and payment slices, shape (C, L) each.
 
@@ -392,50 +367,79 @@ def _menu_columns(Y: np.ndarray, caps: np.ndarray, v: np.ndarray):
     return X, P
 
 
+def _row_tables(axis, caps, v, alpha, w):
+    """util[k, i], supply[k, i]: the menu with row k at y = axis[i], the rest at 0."""
+    K, B = v.size, axis.size
+    one_row = (np.eye(K)[:, None, :] * axis[None, :, None]).reshape(K * B, K)
+    util, supply = np.empty(K * B), np.empty(K * B)
+    for start in range(0, K * B, _ORACLE_BLOCK):
+        part = slice(start, start + _ORACLE_BLOCK)
+        X, P = _menu_columns(one_row[part], caps, v)
+        util[part] = sum((alpha * X[k] - P[k]) @ w[:, k] for k in range(K))
+        supply[part] = sum(X[k] @ w[:, k] for k in range(K))
+    return util.reshape(K, B), supply.reshape(K, B)
+
+
+def _lattice_walk(util, supply, M, D) -> list[int]:
+    """Axis indices of the best non-increasing tuple: objective, supply, lex-larger.
+
+    Rows K-1..1 combine into every non-increasing index tail in lexicographic
+    order, so the tails under top index i are the first counts[i].  When the
+    counts are all equal (K = 1) top indices go _ORACLE_BLOCK at a time.
+    """
+    K, B = util.shape
+    tail_u, tail_s, tail_idx = np.zeros(1), np.zeros(1), np.zeros((1, 0), dtype=np.intp)
+    counts = np.ones(B, dtype=np.intp)  # counts[i]: tails with leading index <= i
+    for k in range(K - 1, 0, -1):
+        lead = np.repeat(np.arange(B), counts)
+        pos = np.arange(lead.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        tail_u, tail_s = util[k, lead] + tail_u[pos], supply[k, lead] + tail_s[pos]
+        tail_idx = np.column_stack([lead, tail_idx[pos]])
+        counts = np.cumsum(counts)
+
+    best = (-math.inf,)
+    block = _ORACLE_BLOCK if counts[0] == counts[-1] else 1  # else every count differs
+    for a in range(0, B, block):
+        b, n = min(a + block, B), int(counts[a])
+        s = supply[0, a:b, None] + tail_s[:n]
+        obj = util[0, a:b, None] + tail_u[:n] + M * np.minimum(0.0, s - D)
+        p, key = _best_by_key(np.arange(s.size)[:, None], obj.ravel(), s.ravel())
+        best = max(best, (*key[:2], a + p // n, p % n))  # objective, supply, top index, tail
+    return [best[2], *tail_idx[best[3]].tolist()]
+
+
 def oracle_grid_search(instance: MarketInstance, grid_step: float) -> SolveResult:
     """Brute-force maximizer of the expected utility over lattice allocations.
 
     Enumerates every monotone reduced allocation with y-values on the lattice
     {0, grid_step, 2*grid_step, ...} plus the capacities and the supply/demand
     crossing values, prices each with the optimal payments evaluated in closed
-    form, and keeps the best by direct expected-utility evaluation.  Raises
-    CandidateCountError when the lattice would exceed the candidate budget.
+    form, and keeps the best by direct expected-utility evaluation.  Those
+    payments are linear in the allocation, so a menu's utility and supply are
+    sums over its rows of one-row tables (``_row_tables``), scored in one walk
+    over the top row's index (``_lattice_walk``).  Raises CandidateCountError
+    when the lattice would exceed the candidate budget, before the axis is
+    built when c_max / grid_step alone does.
     """
-    if grid_step <= 0.0:
-        raise ValidationError(f"grid_step = {grid_step} must be positive")
-    grid = instance.grid
-    K = grid.num_valuations
-    caps = grid.capacities
-    v = grid.valuations
+    if not math.isfinite(grid_step) or grid_step <= 0.0:
+        raise ValidationError(f"grid_step = {grid_step} must be positive and finite")
+    caps, v = instance.grid.capacities, instance.grid.valuations
+    if MAX_CANDIDATES * grid_step <= caps[-1]:  # floor(c_max / step) + 1 axis steps alone
+        raise CandidateCountError(
+            f"oracle lattice at grid_step = {grid_step} has over {MAX_CANDIDATES} candidates"
+        )
     w = AggregateWeights.from_instance(instance).weights
-    alpha, M, D = instance.alpha, instance.penalty, instance.demand_floor
-
     axis = _oracle_axis(instance, grid_step, w)
-    count = math.comb(axis.size + K - 1, K)
+    count = math.comb(axis.size + v.size - 1, v.size)
     if count > MAX_CANDIDATES:
         raise CandidateCountError(
             f"oracle lattice has {count} candidates (limit {MAX_CANDIDATES}); "
             f"increase grid_step"
         )
 
-    best_key = None
-    best_y = None
-    for Y in _monotone_chunks(axis, K):
-        X, P = _menu_columns(Y, caps, v)
-        util = np.zeros(Y.shape[0])
-        supply = np.zeros(Y.shape[0])
-        for k in range(K):
-            util += (alpha * X[k] - P[k]) @ w[:, k]
-            supply += X[k] @ w[:, k]
-        util += M * np.minimum(0.0, supply - D)
-        i, key = _best_by_key(Y, util, supply)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_y = Y[i]
-
-    X, P = _menu_columns(best_y[None, :], caps, v)
-    x = np.vstack([col[0] for col in X])
-    p = np.vstack([col[0] for col in P])
+    util, supply = _row_tables(axis, caps, v, instance.alpha, w)
+    best_y = axis[_lattice_walk(util, supply, instance.penalty, instance.demand_floor)]
+    x, p = (np.vstack([col[0] for col in cols]) for cols in _menu_columns(best_y[None], caps, v))
     contract = Contract(x, p)
     supply = _expected_supply(w, x)
     return SolveResult(
@@ -443,7 +447,7 @@ def oracle_grid_search(instance: MarketInstance, grid_step: float) -> SolveResul
         expected_utility=provider_expected_utility(instance, contract),
         method=SolveMethod.ORACLE,
         epsilon=0.0,
-        aux_t=min(0.0, supply - D),
+        aux_t=min(0.0, supply - instance.demand_floor),
         diagnostics={"candidates": count, "axis_size": int(axis.size)},
     )
 
@@ -629,6 +633,8 @@ def solve_multi_relaxed(
     the relaxed program, so the returned contract's misreport regret is at
     most regret_bound(grid, epsilon).
     """
+    if not epsilon < math.inf:
+        raise ValidationError(f"epsilon = {epsilon} must be finite")
     if epsilon <= 0.0:
         raise ValidationError(
             f"epsilon = {epsilon} must be positive; use solve_multi_reduced for the "
@@ -653,11 +659,12 @@ def relaxed_schedule(
     """
     if not epsilons:
         raise ValidationError("epsilons must be non-empty")
+    for eps in epsilons:
+        if not 0.0 < eps < math.inf:
+            raise ValidationError(f"epsilon = {eps} must be positive and finite")
     result = None
     carried: tuple[np.ndarray, ...] = ()
     for eps in epsilons:
-        if eps <= 0.0:
-            raise ValidationError(f"epsilon = {eps} must be positive")
         result = _solve_relaxed(instance, eps, restarts, seed, extra_starts=carried)
         carried = (result.contract.allocation,)
     return result

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from buyback import (
     OPT_OUT,
+    AggregateWeights,
     ClientDistribution,
     Contract,
     MarketInstance,
@@ -33,6 +35,8 @@ from buyback.solver import (
     SolveResult,
     _best_by_key,
     _expected_supply,
+    _menu_columns,
+    _oracle_axis,
     _reduced_coefficients,
 )
 
@@ -549,3 +553,120 @@ def matrix_reference(value, key: str, rows: int, cols: int) -> np.ndarray:
             raise ValidationError(f"'{key}' row {r} must hold {cols} numbers")
         out[r] = [_number(entry, f"{key}[{r}][{c}]") for c, entry in enumerate(row)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# The brute-force oracle as first written: every lattice point is priced and
+# scored by ``_menu_columns`` in chunks.  The library's table-and-walk oracle
+# must match it bit for bit, except where two menus' objectives tie exactly
+# (``exact_objective``) and rounding orders them differently.
+
+
+def _monotone_chunks(axis: np.ndarray, K: int, chunk: int = _EVAL_CHUNK):
+    B = axis.size
+    if K == 1:
+        for start in range(0, B, chunk):
+            yield axis[start : start + chunk, None]
+        return
+    if K == 2:
+        # pairs (axis[i], axis[j <= i]), emitted in blocks of whole i-rows
+        i = 0
+        while i < B:
+            j = i
+            total = 0
+            while j < B and (total == 0 or total + j + 1 <= chunk):
+                total += j + 1
+                j += 1
+            counts = np.arange(i + 1, j + 1)
+            first = np.repeat(axis[i:j], counts)
+            second = np.concatenate([axis[:c] for c in counts])
+            yield np.column_stack([first, second])
+            i = j
+        return
+    batch: list[tuple] = []
+    for combo in itertools.combinations_with_replacement(axis[::-1], K):
+        batch.append(combo)
+        if len(batch) >= chunk:
+            yield np.array(batch)
+            batch = []
+    if batch:
+        yield np.array(batch)
+
+
+def oracle_grid_search_reference(instance: MarketInstance, grid_step: float) -> SolveResult:
+    """``oracle_grid_search`` as first written, the reference it must match.
+
+    Brute-force maximizer of the expected utility over lattice allocations.
+    Enumerates every monotone reduced allocation with y-values on the lattice
+    {0, grid_step, 2*grid_step, ...} plus the capacities and the supply/demand
+    crossing values, prices each with the optimal payments evaluated in closed
+    form, and keeps the best by direct expected-utility evaluation.  Raises
+    CandidateCountError when the lattice would exceed the candidate budget.
+    """
+    if grid_step <= 0.0:
+        raise ValidationError(f"grid_step = {grid_step} must be positive")
+    grid = instance.grid
+    K = grid.num_valuations
+    caps = grid.capacities
+    v = grid.valuations
+    w = AggregateWeights.from_instance(instance).weights
+    alpha, M, D = instance.alpha, instance.penalty, instance.demand_floor
+
+    axis = _oracle_axis(instance, grid_step, w)
+    count = math.comb(axis.size + K - 1, K)
+    if count > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"oracle lattice has {count} candidates (limit {MAX_CANDIDATES}); "
+            f"increase grid_step"
+        )
+
+    best_key = None
+    best_y = None
+    for Y in _monotone_chunks(axis, K):
+        X, P = _menu_columns(Y, caps, v)
+        util = np.zeros(Y.shape[0])
+        supply = np.zeros(Y.shape[0])
+        for k in range(K):
+            util += (alpha * X[k] - P[k]) @ w[:, k]
+            supply += X[k] @ w[:, k]
+        util += M * np.minimum(0.0, supply - D)
+        i, key = _best_by_key(Y, util, supply)
+        if best_key is None or key > best_key:
+            best_key = key
+            best_y = Y[i]
+
+    X, P = _menu_columns(best_y[None, :], caps, v)
+    x = np.vstack([col[0] for col in X])
+    p = np.vstack([col[0] for col in P])
+    contract = Contract(x, p)
+    supply = _expected_supply(w, x)
+    return SolveResult(
+        contract=contract,
+        expected_utility=provider_expected_utility(instance, contract),
+        method=SolveMethod.ORACLE,
+        epsilon=0.0,
+        aux_t=min(0.0, supply - D),
+        diagnostics={"candidates": count, "axis_size": int(axis.size)},
+    )
+
+
+def exact_objective(instance: MarketInstance, y) -> tuple[Fraction, Fraction]:
+    """Objective and expected supply of the menu min(c, y) in rational arithmetic.
+
+    The closed-form payments and the penalty evaluated on the exact values of
+    the float inputs, so two menus tie here exactly when they tie before
+    rounding.
+    """
+    v = [Fraction(a) for a in instance.grid.valuations.tolist()]
+    caps = [Fraction(c) for c in instance.grid.capacities.tolist()]
+    w = AggregateWeights.from_instance(instance).weights.tolist()  # (L, K)
+    K = len(v)
+    alpha, M, D = (Fraction(a) for a in (instance.alpha, instance.penalty, instance.demand_floor))
+    util = supply = Fraction(0)
+    for l, cap in enumerate(caps):
+        x = [min(cap, Fraction(float(yk))) for yk in y]
+        for k in range(K):
+            p = v[-1] * x[-1] - sum(v[j] * (x[j + 1] - x[j]) for j in range(k, K - 1))
+            util += (alpha * x[k] - p) * Fraction(w[l][k])
+            supply += x[k] * Fraction(w[l][k])
+    return util + M * min(Fraction(0), supply - D), supply

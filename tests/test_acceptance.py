@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -243,7 +244,7 @@ def test_criterion_8_cli_round_trip(tmp_path):
     assert cli("solve", str(inst), "--seed", "11", "--out", out1).returncode == 0
     assert cli("verify", str(inst), out1).returncode == 0
     assert cli("solve", str(inst), "--seed", "11", "--out", out2).returncode == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     instance_doc["clients"][1]["probs"] = [[0.3, 0.2], [0.1, 0.3]]
     bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_solve_simple_instance(tmp_path):
     out = str(tmp_path / "report.json")
     proc = run_cli("solve", inst, "--out", out)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["solver"]["method"] == "single_exact"
     assert report["contract"]["allocation"] == [[10.0], [0.0]]
     assert report["contract"]["payment"] == [[10.0], [0.0]]
@@ -72,7 +73,7 @@ def test_solve_reports_are_byte_identical(tmp_path):
     p1 = run_cli("solve", inst, "--method", "relaxed", "--seed", "7", "--out", out1)
     p2 = run_cli("solve", inst, "--method", "relaxed", "--seed", "7", "--out", out2)
     assert p1.returncode == 0 and p2.returncode == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert p1.stdout == p2.stdout
 
 
@@ -80,7 +81,7 @@ def test_report_contract_round_trips_bit_exactly(tmp_path):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     out = str(tmp_path / "report.json")
     run_cli("solve", inst, "--out", out)
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
 
     from buyback.cli import parse_contract, parse_instance
 
@@ -101,7 +102,7 @@ def test_verify_detects_lowered_payment(tmp_path):
     )
     proc = run_cli("verify", inst, contract, "--out", str(tmp_path / "audit.json"))
     assert proc.returncode == 1
-    audit = json.loads(open(tmp_path / "audit.json").read())["audit"]
+    audit = json.loads((tmp_path / "audit.json").read_text())["audit"]
     assert audit["ic_full"] is False
     assert audit["margins"]["ic_full"] == pytest.approx(-1.0)
 
@@ -157,7 +158,7 @@ def test_relaxed_uses_default_epsilon(tmp_path):
     out = str(tmp_path / "r.json")
     proc = run_cli("solve", inst, "--method", "relaxed", "--out", out)
     assert proc.returncode == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["solver"]["epsilon"] == 1e-6
     assert report["audit"]["regret"] <= report["audit"]["regret_bound"]
 
@@ -183,7 +184,7 @@ def test_simulate_point_mass_zero_std_error(tmp_path):
     out = str(tmp_path / "sim.json")
     proc = run_cli("simulate", inst, contract, "--replications", "50", "--out", out)
     assert proc.returncode == 0
-    summary = json.loads(open(out).read())
+    summary = json.loads(Path(out).read_text())
     assert summary["std_error"] == 0.0
 
 
@@ -195,7 +196,7 @@ def test_regret_command(tmp_path):
     out = str(tmp_path / "regret.json")
     proc = run_cli("regret", inst, contract, "--epsilon", "0.01", "--out", out)
     assert proc.returncode == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["regret"] == pytest.approx(1.0)
     assert doc["regret_bound"] == pytest.approx(3.0 * 0.1)
 
@@ -207,8 +208,8 @@ def test_oracle_command_matches_solve(tmp_path):
     run_cli("solve", inst, "--out", solve_out)
     proc = run_cli("oracle", inst, "--grid-step", "0.05", "--out", oracle_out)
     assert proc.returncode == 0
-    solve_report = json.loads(open(solve_out).read())
-    oracle_report = json.loads(open(oracle_out).read())
+    solve_report = json.loads(Path(solve_out).read_text())
+    oracle_report = json.loads(Path(oracle_out).read_text())
     assert oracle_report["expected_utility"] == pytest.approx(
         solve_report["expected_utility"], abs=1e-6
     )
@@ -319,6 +320,7 @@ def test_matrix_short_row_names_the_row(tmp_path, capsys, target):
         [[1.0, 1.0], "row"],
         [[1.0, [2.0]], [1.0, None]],
         [[1.0, 1.0]],
+        [[1.0, 1.0], [10**400, 1.0]],
         "matrix",
     ],
 )
@@ -334,3 +336,78 @@ def test_matrix_matches_per_entry_reference(value):
         assert got == ref
     else:
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+_CONTRACT_L2 = {"allocation": [[4.0, 4.0], [2.0, 2.0]], "payment": [[6.0, 6.0], [4.0, 4.0]]}
+
+
+@pytest.mark.parametrize(
+    "target, key",
+    [
+        ("alpha", "alpha"),
+        ("valuations", "valuations[1]"),
+        ("probs", "clients[1].probs[1][0]"),
+        ("allocation", "allocation[1][0]"),
+    ],
+)
+def test_integer_beyond_float_range_names_its_key(tmp_path, capsys, target, key):
+    doc = json.loads(json.dumps(INSTANCE_L2))
+    contract = json.loads(json.dumps(_CONTRACT_L2))
+    if target == "alpha":
+        doc["alpha"] = 10**400
+    elif target == "valuations":
+        doc["valuations"][1] = 10**400
+    elif target == "probs":
+        doc["clients"][1]["probs"][1][0] = 10**400
+    else:
+        contract["allocation"][1][0] = 10**400
+    inst = write_json(tmp_path / "inst.json", doc)
+    path = write_json(tmp_path / "c.json", contract)
+    code, out, err = _in_process(capsys, "verify", inst, path)
+    assert (code, out, err) == (2, "", f"error: '{key}' is an integer beyond the float range\n")
+
+
+def test_integer_past_the_digit_limit_is_invalid_input(tmp_path, capsys):
+    text = json.dumps(INSTANCE_L2).replace('"alpha": 2.5', '"alpha": 1' + "0" * 5000)
+    inst = tmp_path / "inst.json"
+    inst.write_text(text, encoding="utf-8")
+    code, out, err = _in_process(capsys, "solve", str(inst))
+    assert code == 2 and "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-8", "nan", "inf"])
+def test_oracle_grid_step_out_of_budget_or_non_finite(tmp_path, capsys, step):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    code, out, err = _in_process(capsys, "oracle", inst, "--grid-step", step)
+    assert (code, out) == (2, "") and "grid_step" in err
+
+
+@pytest.mark.parametrize(
+    "args, file_epsilon",
+    [
+        (("verify", "{inst}", "{contract}", "--epsilon", "nan"), None),
+        (("regret", "{inst}", "{contract}", "--epsilon", "inf"), None),
+        (("solve", "{inst}", "--method", "relaxed", "--epsilon", "nan"), None),
+        (("solve", "{inst}", "--method", "relaxed"), float("nan")),
+        (("verify", "{inst}", "{contract}"), float("inf")),
+    ],
+)
+def test_non_finite_epsilon_is_invalid_input(tmp_path, capsys, args, file_epsilon):
+    doc = dict(INSTANCE_L2)
+    if file_epsilon is not None:
+        doc["epsilon"] = file_epsilon
+    inst = write_json(tmp_path / "inst.json", doc)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    out_path = tmp_path / "out.json"
+    argv = [a.format(inst=inst, contract=contract) for a in args]
+    code, out, err = _in_process(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "") and "epsilon" in err and "finite" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "abc"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    code, out, err = _in_process(capsys, "verify", inst, contract, "--tol", tol)
+    assert (code, out) == (2, "") and "--tol" in err

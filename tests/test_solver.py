@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from buyback import (
     solve_single_capacity,
 )
 from helpers import (
+    exact_objective,
+    oracle_grid_search_reference,
     random_instance,
     representable_as_min_form,
     satisfies_greedy_and_feasible,
@@ -242,6 +245,86 @@ def test_oracle_candidate_budget_guard():
         oracle_grid_search(inst, 0.0)
 
 
+@pytest.mark.parametrize("step", [1e-8, 1e-300, 5e-324])
+def test_oracle_budget_is_checked_before_the_axis(step):
+    # c_max / step steps alone pass the budget, so the refusal must come
+    # before np.arange is asked for them
+    inst = one_client_instance([1.0, 2.0], [1.0, 3.0], np.full((2, 2), 0.25), alpha=2.0)
+    start = time.perf_counter()
+    with pytest.raises(CandidateCountError, match="candidates"):
+        oracle_grid_search(inst, step)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
+def test_oracle_rejects_non_finite_grid_step(step):
+    inst = one_client_instance([1.0], [1.0], [[1.0]], alpha=2.0)
+    with pytest.raises(ValidationError, match="grid_step"):
+        oracle_grid_search(inst, step)
+
+
+def test_oracle_matches_reference():
+    # the per-row tables and the lattice walk against the chunked evaluation
+    # of every lattice point; integer grids with point masses are tie-heavy
+    rng = np.random.default_rng(131)
+    for draw in range(240):
+        integer = bool(rng.random() < 0.5)
+        inst = random_instance(rng, integer=integer, point_mass=bool(rng.random() < 0.3))
+        if draw % 4 >= 2:
+            inst = MarketInstance(inst.grid, inst.clients, inst.alpha, 0.0, 0.0)
+        step = (0.05, 0.1)[draw % 2]
+        got = oracle_grid_search(inst, step)
+        ref = oracle_grid_search_reference(inst, step)
+        assert got.diagnostics == ref.diagnostics, draw
+        y_got, y_ref = got.contract.allocation[:, -1], ref.contract.allocation[:, -1]
+        if not np.array_equal(y_got, y_ref):
+            # the two sum the same terms in different orders, so menus whose
+            # objectives tie before rounding can come out in either order; a
+            # supply tie as well would leave the pick to the lex tie-break
+            (obj_got, s_got), (obj_ref, s_ref) = (exact_objective(inst, y) for y in (y_got, y_ref))
+            assert obj_got == obj_ref and s_got != s_ref, draw
+            continue
+        assert np.array_equal(got.contract.payment, ref.contract.payment), draw
+        assert got.expected_utility == ref.expected_utility, draw
+        assert got.aux_t == ref.aux_t, draw
+
+
+def test_oracle_breaks_exact_ties_toward_the_lex_larger_y():
+    # all mass on the top valuation: rows 0 and 1 move neither the objective
+    # nor the supply, so the lex-larger y puts both at c_max
+    probs = [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]]
+    inst = one_client_instance([1.0, 2.0, 3.0], [1.0, 2.0], probs, alpha=2.0)
+    for step in (0.1, 0.25):
+        got = oracle_grid_search(inst, step)
+        assert got.contract.allocation[:, -1].tolist() == [2.0, 2.0, 0.0]
+        ref = oracle_grid_search_reference(inst, step)
+        assert np.array_equal(got.contract.allocation, ref.contract.allocation)
+
+
+@pytest.mark.parametrize("penalty", [0.0, 2.0])
+@pytest.mark.parametrize(
+    "vals, caps, step",
+    [([1.0, 2.0], [1.5, 4.4], 1e-3), ([1.0, 2.0, 3.0], [1.0, 3.8], 0.01)],
+    ids=["K2", "K3"],
+)
+def test_oracle_budget_at_the_lattice_edge(vals, caps, step, penalty):
+    # lattices of 9.4M-9.7M points, just under MAX_CANDIDATES
+    probs = np.full((len(caps), len(vals)), 1.0 / (len(caps) * len(vals)))
+    inst = one_client_instance(vals, caps, probs, alpha=2.5, penalty=penalty, demand=2.0)
+    start = time.perf_counter()
+    res = oracle_grid_search(inst, step)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        oracle_grid_search(inst, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["candidates"] > 9_000_000
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def family_instance(n, alpha, penalty, demand):
     """vals = caps = 1..n, one client spread uniformly over the n*n types."""
     vals = np.arange(1.0, n + 1.0)
@@ -349,6 +432,16 @@ def test_relaxed_validates_arguments():
         solve_multi_relaxed(RELAX_INSTANCE, epsilon=0.0)
     with pytest.raises(ValidationError):
         solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-4, restarts=0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_epsilon_is_invalid(eps):
+    with pytest.raises(ValidationError, match="finite"):
+        solve_multi_relaxed(RELAX_INSTANCE, epsilon=eps)
+    with pytest.raises(ValidationError, match="finite"):
+        relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, eps))
+    with pytest.raises(ValidationError, match="finite"):
+        regret_bound(RELAX_INSTANCE.grid, eps)
 
 
 def test_relaxed_exploits_slack_and_value_monotone_in_epsilon():
