@@ -14,6 +14,8 @@ Margin conventions (one number accompanies every boolean verdict):
 * money-side checks (IC, IR, squeeze) report the smallest *slack* in money
   units; they pass iff the margin is >= -tol.
 
+Every ``check_*`` raises ValidationError unless tol is finite and >= 0.
+
 Joint IC and regret take each type's best affordable deviation from a prefix
 maximum over the items sorted by repurchase amount; the decomposed IC checks
 enumerate item pairs on their own, so they cross-check the joint one.  The
@@ -95,23 +97,29 @@ def _row_blocks(grid: TypeGrid) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, K, step)]
 
 
-def _best_affordable_utility(grid: TypeGrid, contract: Contract, tol: float = 0.0) -> np.ndarray:
-    """best[k, l] = max of p - v[k] * x over items with x <= c[l] + tol, or -inf.
+def _best_affordable_utility(grid: TypeGrid, contract: Contract, tols: tuple = (0.0,)) -> list:
+    """Per tol, best[k, l] = max of p - v[k] * x over items with x <= c[l] + tol, or -inf.
 
-    Sorted by x, the items affordable at a capacity form a prefix.  Rows are
-    independent, so they are built in blocks.
+    Sorted by x, the items affordable at a capacity form a prefix: one prefix
+    maximum serves every tol.  Rows are independent, so they go in blocks.
     """
     x, p = contract.allocation.ravel(), contract.payment.ravel()
     order = np.argsort(x, kind="stable")
     x, p = x[order], p[order]
-    ends = np.searchsorted(x, grid.capacities + tol, side="right")
-    best = np.empty((grid.num_valuations, grid.num_capacities))
+    ends = np.searchsorted(x, np.concatenate([grid.capacities + tol for tol in tols]), side="right")
+    best = np.empty((grid.num_valuations, ends.size))
     for rows in _row_blocks(grid):
         dev = p - grid.valuations[rows, None] * x  # (rows, K*L), by ascending x
         # Column 0 is the empty prefix: nothing affordable.
         prefix = np.maximum.accumulate(np.insert(dev, 0, -math.inf, axis=1), axis=1)
         best[rows] = prefix[:, ends]
-    return best
+    return np.hsplit(best, len(tols))
+
+
+def _check_args(grid: TypeGrid, contract: Contract, tol: float) -> None:
+    check_shapes(grid, contract)
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol = {tol} must be finite and non-negative")
 
 
 def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -182,10 +190,13 @@ def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float
     return 0.0 if worst is math.inf else worst
 
 
-def _ic_full_margin(grid: TypeGrid, contract: Contract, tol: float) -> float:
-    slack = _truthful_utilities(grid, contract) - _best_affordable_utility(grid, contract, tol)
-    worst = float(np.min(slack))  # +inf only where nothing is affordable at all
+def _ic_full_margin(truth: np.ndarray, best: np.ndarray) -> float:
+    worst = float(np.min(truth - best))  # +inf only where nothing is affordable at all
     return 0.0 if worst == math.inf else worst
+
+
+def _regret(truth: np.ndarray, best: np.ndarray) -> float:
+    return max(0.0, float(np.max(best - truth)))
 
 
 def _ir_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -200,7 +211,7 @@ def check_resource_feasibility(
     grid: TypeGrid, contract: Contract, tol: float = AUDIT_TOL
 ) -> tuple[bool, float]:
     """No item may ask for more than its type's capacity: x[k,l] <= c[l]."""
-    check_shapes(grid, contract)
+    _check_args(grid, contract, tol)
     margin = _feasibility_margin(grid, contract)
     return margin <= tol, margin
 
@@ -212,7 +223,7 @@ def check_resource_greedy(
 
     Returns (monotone ok, maximal-recycling ok, (monotone margin, maximal margin)).
     """
-    check_shapes(grid, contract)
+    _check_args(grid, contract, tol)
     monotone, maximal = _greedy_margins(grid, contract, tol)
     return monotone <= tol, maximal <= tol, (monotone, maximal)
 
@@ -226,8 +237,9 @@ def check_ic_full(
     deviation among the items with x[deviation] <= capacity(true) + tol,
     found as a prefix maximum over the items sorted by x.
     """
-    check_shapes(grid, contract)
-    margin = _ic_full_margin(grid, contract, tol)
+    _check_args(grid, contract, tol)
+    (best,) = _best_affordable_utility(grid, contract, (tol,))
+    margin = _ic_full_margin(_truthful_utilities(grid, contract), best)
     return margin >= -tol, margin
 
 
@@ -235,7 +247,7 @@ def check_ic_decomposed(
     grid: TypeGrid, contract: Contract, tol: float = AUDIT_TOL
 ) -> tuple[bool, bool]:
     """The valuation-only and capacity-only incentive constraints."""
-    check_shapes(grid, contract)
+    _check_args(grid, contract, tol)
     val = _ic_valuation_margin(grid, contract)
     cap = _ic_capacity_margin(grid, contract, tol)
     return val >= -tol, cap >= -tol
@@ -243,7 +255,7 @@ def check_ic_decomposed(
 
 def check_ir(grid: TypeGrid, contract: Contract, tol: float = AUDIT_TOL) -> tuple[bool, float]:
     """Truthful participation never hurts: p[k,l] - v[k]*x[k,l] >= 0."""
-    check_shapes(grid, contract)
+    _check_args(grid, contract, tol)
     margin = _ir_margin(grid, contract)
     return margin >= -tol, margin
 
@@ -256,8 +268,8 @@ def compute_regret(grid: TypeGrid, contract: Contract) -> float:
     at zero.  Computed exactly, independent of any audit tolerance.
     """
     check_shapes(grid, contract)
-    gain = _best_affordable_utility(grid, contract) - _truthful_utilities(grid, contract)
-    return max(0.0, float(np.max(gain)))
+    (best,) = _best_affordable_utility(grid, contract)
+    return _regret(_truthful_utilities(grid, contract), best)
 
 
 def regret_bound(grid: TypeGrid, epsilon: float) -> float:
@@ -283,7 +295,7 @@ def check_theorem1(
     as a test of the characterization itself.  ``epsilon`` only feeds the
     reported regret bound (pass 0 for exact contracts).
     """
-    check_shapes(grid, contract)
+    _check_args(grid, contract, tol)
 
     feas_margin = _feasibility_margin(grid, contract)
     mono_margin, maximal_margin = _greedy_margins(grid, contract, tol)
@@ -291,7 +303,10 @@ def check_theorem1(
     p3_margin = _squeeze_margin(grid, contract)
     ic_val_margin = _ic_valuation_margin(grid, contract)
     ic_cap_margin = _ic_capacity_margin(grid, contract, tol)
-    ic_margin = _ic_full_margin(grid, contract, tol)
+    # joint IC at c + tol and regret at c gather from one prefix maximum
+    truth = _truthful_utilities(grid, contract)
+    best_at_tol, best_at_cap = _best_affordable_utility(grid, contract, (tol, 0.0))
+    ic_margin = _ic_full_margin(truth, best_at_tol)
     ir_margin = _ir_margin(grid, contract)
     p5_margin = _top_ir_margin(grid, contract)
 
@@ -334,6 +349,6 @@ def check_theorem1(
         p6=mono_margin <= tol and maximal_margin <= tol,
         margins=margins,
         worst_violation=(worst_id, worst_mag),
-        regret=compute_regret(grid, contract),
+        regret=_regret(truth, best_at_cap),
         regret_bound=regret_bound(grid, epsilon),
     )

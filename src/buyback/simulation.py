@@ -229,6 +229,6 @@ def estimate_misreport_gain(
     """
     grid = instance.grid
     check_shapes(grid, contract)
-    gain = _best_affordable_utility(grid, contract) - _truthful_utilities(grid, contract)
-    gain = gain.T.ravel()  # l-major type index
+    (best,) = _best_affordable_utility(grid, contract)
+    gain = (best - _truthful_utilities(grid, contract)).T.ravel()  # l-major type index
     return max(0.0, *(float(np.max(gain[types])) for types in _type_blocks(instance, config)))

@@ -24,9 +24,11 @@ Three solving routes live here:
 
 * ``solve_single_capacity`` / ``solve_multi_reduced`` — exact, via the
   reduced-form DP above (epsilon = 0, complementarity exact);
-* ``solve_multi_relaxed`` — multi-start projected pattern search over the
-  full K*L allocation with the bilinear greediness constraint relaxed to
-  (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for all ordered pairs;
+* ``solve_multi_relaxed`` — multi-start pattern search over the full K*L
+  allocation with the bilinear greediness constraint relaxed to
+  (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for l < l'; it moves whole
+  rows along min(c, y), where every product is 0, and single entries, each
+  checked only against its products with the row's last entry;
 * ``oracle_grid_search`` — an independent brute force over a fine lattice of
   reduced allocations, evaluating payments and expected utility from their
   definitions rather than through the coefficient form.  The closed-form
@@ -82,7 +84,7 @@ class SolveResult:
     instance; ``aux_t`` is the linearization variable min(0, supply - D);
     ``epsilon`` is 0 for exact methods.  ``diagnostics`` carries counts:
     candidates re-scored, DP front points and crossing pairs for the exact
-    methods, starts and iterations for the relaxed one.
+    methods, starts, iterations and capped starts for the relaxed one.
     """
 
     contract: Contract
@@ -457,38 +459,37 @@ def oracle_grid_search(instance: MarketInstance, grid_step: float) -> SolveResul
 # ---------------------------------------------------------------------------
 
 
-def _row_products_ok(row: list, caps: np.ndarray, epsilon: float) -> bool:
-    L = len(row)
-    for l1 in range(L - 1):
-        slack = float(caps[l1]) - row[l1]
-        for l2 in range(l1 + 1, L):
-            if (row[l2] - row[l1]) * slack > epsilon:
-                return False
-    return True
+#: Moves one start may try (checked once per sweep), and the step at which
+#: it stops: a start that ends with its step above _MIN_STEP hit the cap.
+_MAX_ITERATIONS = 100_000
+_MIN_STEP = 1e-10
 
 
-def _pattern_search(
-    x0: np.ndarray,
-    coef: np.ndarray,
-    w: np.ndarray,
-    caps: np.ndarray,
-    penalty: float,
-    demand_floor: float,
-    epsilon: float,
-    max_iterations: int,
-    min_step: float,
-):
-    """Feasible coordinate pattern search with step halving.
+def _move_ok(row: list, l: int, cand: float, caps: list, epsilon: float) -> bool:
+    """Whether every relaxed product of ``row`` holds once row[l] becomes cand.
 
-    Every iterate satisfies the ordering constraints by construction (moves
-    are clipped into the box allowed by the neighbors) and the relaxed
-    bilinear constraints by rejection.
+    ``row`` passes, and stays non-decreasing and within capacity with cand.
+    Then entry j's largest product pairs it with the last entry, and rounding
+    is monotone, so one product (L-1 for the last entry) decides, bit for bit.
+    """
+    if l + 1 < len(row):
+        return (row[-1] - cand) * (caps[l] - cand) <= epsilon
+    return all((cand - a) * (c - a) <= epsilon for a, c in zip(row, caps[:-1]))
+
+
+def _pattern_search(x0, coef, w, caps, penalty, demand_floor, epsilon):
+    """Feasible pattern search with step halving; returns x, objective, supply, moves, capped.
+
+    A sweep tries each row whole at min(c, y +- step), y its last entry, then
+    each entry alone.  Entry moves are clipped into the box the neighbours
+    allow and row moves that break the column order are rejected, so rows
+    stay non-decreasing and within capacity, as ``_move_ok`` requires.
     """
     K, L = x0.shape
-    x = [[float(val) for val in row] for row in x0]
+    x = x0.tolist()
     coef_l = coef.tolist()
     wkl = w.T.tolist()  # wkl[k][l]
-    caps_l = [float(c) for c in caps]
+    caps_l = caps.tolist()
 
     lin = sum(coef_l[k][l] * x[k][l] for k in range(K) for l in range(L))
     supply = sum(wkl[k][l] * x[k][l] for k in range(K) for l in range(L))
@@ -496,68 +497,62 @@ def _pattern_search(
 
     step = caps_l[-1] / 4.0
     iters = 0
-    while step >= min_step and iters < max_iterations:
+    while step >= _MIN_STEP and iters < _MAX_ITERATIONS:
         improved = False
         for k in range(K):
+            above = x[k - 1] if k > 0 else caps_l
+            below = x[k + 1] if k + 1 < K else [0.0] * L
+            for delta in (step, -step):
+                iters += 1
+                row = x[k]
+                y = max(row[-1] + delta, 0.0)
+                cand = [min(c, y) for c in caps_l]
+                if cand == row or any(not a <= b <= c for a, b, c in zip(below, cand, above)):
+                    continue
+                d_lin = sum(cf * (b - a) for cf, a, b in zip(coef_l[k], row, cand))
+                d_supply = sum(wt * (b - a) for wt, a, b in zip(wkl[k], row, cand))
+                new_obj = lin + d_lin + penalty * min(0.0, supply + d_supply - demand_floor)
+                if new_obj > obj + 1e-12:
+                    x[k] = cand
+                    lin, supply, obj = lin + d_lin, supply + d_supply, new_obj
+                    improved = True
+            row = x[k]
             for l in range(L):
                 for delta in (step, -step):
                     iters += 1
-                    old = x[k][l]
-                    hi = caps_l[l]
-                    if k > 0 and x[k - 1][l] < hi:
-                        hi = x[k - 1][l]
-                    if l + 1 < L and x[k][l + 1] < hi:
-                        hi = x[k][l + 1]
-                    lo = 0.0
-                    if k + 1 < K and x[k + 1][l] > lo:
-                        lo = x[k + 1][l]
-                    if l > 0 and x[k][l - 1] > lo:
-                        lo = x[k][l - 1]
-                    cand = old + delta
-                    if cand > hi:
-                        cand = hi
-                    elif cand < lo:
-                        cand = lo
-                    if cand == old:
-                        continue
-                    x[k][l] = cand
-                    if not _row_products_ok(x[k], caps, epsilon):
-                        x[k][l] = old
+                    old = row[l]
+                    hi = min(caps_l[l], above[l], row[l + 1] if l + 1 < L else math.inf)
+                    lo = max(below[l], row[l - 1] if l > 0 else 0.0)
+                    cand = min(max(old + delta, lo), hi)
+                    if cand == old or not _move_ok(row, l, cand, caps_l, epsilon):
                         continue
                     d = cand - old
                     new_lin = lin + coef_l[k][l] * d
                     new_supply = supply + wkl[k][l] * d
                     new_obj = new_lin + penalty * min(0.0, new_supply - demand_floor)
                     if new_obj > obj + 1e-12:
+                        row[l] = cand
                         lin, supply, obj = new_lin, new_supply, new_obj
                         improved = True
-                    else:
-                        x[k][l] = old
-                if iters >= max_iterations:
-                    break
-            if iters >= max_iterations:
-                break
         if not improved:
             step *= 0.5
 
-    x_arr = np.array(x)
-    lin = float(np.sum(coef * x_arr))
-    supply = _expected_supply(w, x_arr)
-    obj = lin + penalty * min(0.0, supply - demand_floor)
-    return x_arr, obj, supply, iters
+    x = np.array(x)
+    supply = _expected_supply(w, x)
+    obj = float(np.sum(coef * x)) + penalty * min(0.0, supply - demand_floor)
+    return x, obj, supply, iters, step >= _MIN_STEP
 
 
 def _feasible_start(x: np.ndarray, caps: np.ndarray, epsilon: float) -> np.ndarray:
-    """Repair a warm start so it satisfies the relaxed program's constraints.
+    """Repair a carried menu, non-decreasing and within capacity, for a new epsilon.
 
-    Rows violating the bilinear constraints snap back to min(c, y) form;
-    if that breaks the cross-row ordering, the whole matrix is rebuilt from
-    its reduced form (products all zero, ordering exact).
+    A row passes when each entry's product with its last entry does; failing
+    rows snap back to min(c, y) form, and if that breaks the cross-row order
+    the whole matrix is rebuilt from its reduced form (products all zero).
     """
     out = x.copy()
-    for k in range(x.shape[0]):
-        if not _row_products_ok(list(out[k]), caps, epsilon):
-            out[k] = np.minimum(caps, out[k, -1])
+    bad = np.any((x[:, -1:] - x[:, :-1]) * (caps[:-1] - x[:, :-1]) > epsilon, axis=1)
+    out[bad] = np.minimum(caps[None, :], x[bad, -1:])
     if out.shape[0] > 1 and np.any(np.diff(out, axis=0) > 0):
         y = np.minimum.accumulate(x[:, -1])
         out = np.minimum(caps[None, :], y[:, None])
@@ -570,8 +565,6 @@ def _solve_relaxed(
     restarts: int,
     seed: int,
     extra_starts: tuple[np.ndarray, ...] = (),
-    max_iterations: int = 100_000,
-    min_step: float = 1e-10,
 ) -> SolveResult:
     grid = instance.grid
     K, L = grid.num_valuations, grid.num_capacities
@@ -587,20 +580,8 @@ def _solve_relaxed(
         y = np.sort(rng.uniform(0.0, float(caps[-1]), K))[::-1]
         starts.append(np.minimum(caps[None, :], y[:, None]))
 
-    best = None
-    best_key = None
-    total_iters = 0
-    for x0 in starts:
-        x, obj, supply, iters = _pattern_search(
-            x0, coef, w, caps, M, D, epsilon, max_iterations, min_step
-        )
-        total_iters += iters
-        key = (obj, supply, tuple(x.ravel()))
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (x, supply)
-
-    x, supply = best
+    runs = [_pattern_search(x0, coef, w, caps, M, D, epsilon) for x0 in starts]
+    x, _, supply, _, _ = max(runs, key=lambda run: (run[1], run[2], tuple(run[0].ravel())))
     p = np.empty_like(x)
     for l in range(L):
         p[:, l] = column_payments(grid.valuations, x[:, l], float(caps[l]))
@@ -613,7 +594,8 @@ def _solve_relaxed(
         aux_t=min(0.0, supply - D),
         diagnostics={
             "starts": len(starts),
-            "iterations": total_iters,
+            "iterations": sum(run[3] for run in runs),
+            "capped_starts": sum(run[4] for run in runs),
             "restarts": restarts,
             "seed": seed,
         },
@@ -631,7 +613,9 @@ def solve_multi_relaxed(
     Starts from the reduced-exact solution, the zero contract, and
     ``restarts`` random reduced allocations; every iterate stays feasible for
     the relaxed program, so the returned contract's misreport regret is at
-    most regret_bound(grid, epsilon).
+    most regret_bound(grid, epsilon).  Each sweep moves every row whole along
+    min(c, y), then each entry alone; a start stops at step 1e-10, or after
+    100,000 moves as counted in ``diagnostics["capped_starts"]``.
     """
     if not epsilon < math.inf:
         raise ValidationError(f"epsilon = {epsilon} must be finite")
@@ -662,7 +646,6 @@ def relaxed_schedule(
     for eps in epsilons:
         if not 0.0 < eps < math.inf:
             raise ValidationError(f"epsilon = {eps} must be positive and finite")
-    result = None
     carried: tuple[np.ndarray, ...] = ()
     for eps in epsilons:
         result = _solve_relaxed(instance, eps, restarts, seed, extra_starts=carried)

@@ -555,6 +555,19 @@ def matrix_reference(value, key: str, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def row_products_ok_reference(row: list, caps: np.ndarray, epsilon: float) -> bool:
+    """The relaxed row constraint, every pair scanned: for all l1 < l2,
+    (x[l2] - x[l1]) * (c[l1] - x[l1]) <= epsilon.  The solver checks one
+    product per move instead (``solver._move_ok``)."""
+    L = len(row)
+    for l1 in range(L - 1):
+        slack = float(caps[l1]) - row[l1]
+        for l2 in range(l1 + 1, L):
+            if (row[l2] - row[l1]) * slack > epsilon:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # The brute-force oracle as first written: every lattice point is priced and
 # scored by ``_menu_columns`` in chunks.  The library's table-and-walk oracle

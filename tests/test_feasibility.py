@@ -11,6 +11,7 @@ from buyback import feasibility
 from buyback import (
     Contract,
     TypeGrid,
+    ValidationError,
     check_ic_decomposed,
     check_ic_full,
     check_ir,
@@ -354,6 +355,30 @@ def test_audit_margins_match_loop_references(block_cells, monkeypatch):
             assert repr(got.margins) == repr(ref.margins)
             assert repr(got.worst_violation) == repr(ref.worst_violation)
             assert repr(got.regret) == repr(ref.regret)
+
+
+# Each check with the verdict it must give on an exact two-capacity menu.
+EXACT_MENU_PASSES = {
+    check_resource_feasibility: lambda out: out[0],
+    check_resource_greedy: lambda out: out[0] and out[1],
+    check_ic_full: lambda out: out[0],
+    check_ic_decomposed: lambda out: out[0] and out[1],
+    check_ir: lambda out: out[0],
+    check_theorem1: lambda out: out.feasible and out.ic_full and out.ir,
+}
+
+
+@pytest.mark.parametrize("check", EXACT_MENU_PASSES, ids=lambda check: check.__name__)
+def test_audit_rejects_a_tol_that_is_not_finite_and_non_negative(check):
+    # A NaN or negative tol fails every margin comparison, so it used to call
+    # this feasible exact menu infeasible
+    grid = TypeGrid([1.0, 2.0], [3.0, 5.0])
+    x = greedy_allocation(grid, [5.0, 3.0])
+    contract = Contract(x, [[6.0, 8.0], [6.0, 6.0]])  # its optimal payments
+    for tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ValidationError, match="tol"):
+            check(grid, contract, tol=tol)
+    assert EXACT_MENU_PASSES[check](check(grid, contract, tol=0.0))
 
 
 def test_audit_budget_150x150():

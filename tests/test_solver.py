@@ -31,8 +31,16 @@ from helpers import (
     oracle_grid_search_reference,
     random_instance,
     representable_as_min_form,
+    row_products_ok_reference,
     satisfies_greedy_and_feasible,
     solve_reduced_enumeration,
+)
+from buyback.solver import (
+    _expected_supply,
+    _feasible_start,
+    _move_ok,
+    _pattern_search,
+    _reduced_coefficients,
 )
 
 
@@ -499,6 +507,98 @@ def test_relaxed_zero_weight_types_still_constrained():
     assert x[1, 0] <= x[0, 0] + 1e-12
     report = check_theorem1(inst.grid, res.contract, tol=1e-8)
     assert report.ir and report.resource_feasible
+
+
+@pytest.mark.parametrize("draw, eps", [(1, 1e-4), (7, 1e-2)])
+def test_zero_start_reaches_the_exact_objective_without_crawling(draw, eps):
+    # Criterion 4's draws 1 (K = 1, L = 2) and 7 (3 x 3, demand floor in
+    # range): moved one entry at a time, the zero start climbed a tube of
+    # width about eps / gap and stopped at the move cap far below the exact
+    # objective (0.44 against 3.59 on draw 1)
+    rng = np.random.default_rng(20260804)
+    inst = [random_instance(rng, max_n=2) for _ in range(draw + 1)][-1]
+    res = solve_multi_relaxed(inst, epsilon=eps, restarts=2, seed=draw)
+    assert res.diagnostics["capped_starts"] == 0
+
+    coef, w = _reduced_coefficients(inst)
+    M, D = inst.penalty, inst.demand_floor
+    exact = solve_multi_reduced(inst).contract.allocation
+    exact_obj = float(np.sum(coef * exact)) + M * min(0.0, _expected_supply(w, exact) - D)
+    zero = np.zeros_like(exact)
+    _, obj, _, _, capped = _pattern_search(zero, coef, w, inst.grid.capacities, M, D, eps)
+    assert not capped
+    assert obj >= exact_obj - 1e-12
+
+
+@pytest.mark.parametrize("penalised", [False, True])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_relaxed_budget_10x10(eps, penalised):
+    # Budget: a 10 x 10 relaxed solve with 4 restarts finishes in under 1.5 s,
+    # every start stopped by the step floor, not by the move cap
+    base = random_instance(np.random.default_rng(1), k=10, l=10, max_n=2)
+    full = float(np.sum(AggregateWeights.from_instance(base).weights.T @ base.grid.capacities))
+    penalty, demand = (2.0, 0.5 * full) if penalised else (0.0, 0.0)
+    inst = MarketInstance(base.grid, base.clients, base.alpha, penalty, demand)
+    start = time.perf_counter()
+    res = solve_multi_relaxed(inst, epsilon=eps, restarts=4, seed=0)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"{elapsed:.2f} s"
+    assert res.diagnostics["capped_starts"] == 0
+    assert res.expected_utility >= solve_multi_reduced(inst).expected_utility - 1e-12
+    assert compute_regret(inst.grid, res.contract) <= regret_bound(inst.grid, eps) + 1e-12
+
+
+def random_relaxed_row(rng, caps):
+    """A row non-decreasing in capacity and within it, with ties and full entries."""
+    r = rng.uniform(0.0, caps[-1], caps.size)
+    for l in range(caps.size):
+        u = rng.random()
+        if u < 0.2:
+            r[l] = caps[l]
+        elif u < 0.4 and l > 0:
+            r[l] = r[l - 1]
+    return np.minimum(caps, np.maximum.accumulate(r))
+
+
+def near(value):
+    """value and its two float neighbours: epsilons on either side of a product."""
+    return (value, float(np.nextafter(value, 0.0)), float(np.nextafter(value, np.inf)))
+
+
+def test_per_entry_product_check_matches_pairwise_reference():
+    rng = np.random.default_rng(913)
+    checked_rows = checked_moves = 0
+    for _ in range(300):
+        L = int(rng.integers(1, 6))
+        caps = np.cumsum(rng.uniform(0.1, 2.0, L))
+        row = random_relaxed_row(rng, caps)
+        products = (row[-1] - row[:-1]) * (caps[:-1] - row[:-1])
+        epsilons = near(float(rng.choice(products))) if L > 1 else (1e-6,)
+        for eps in (*epsilons, 1e-12):
+            # whole rows: _feasible_start keeps a row exactly when it passes
+            passes = row_products_ok_reference(row.tolist(), caps, eps)
+            kept = np.array_equal(_feasible_start(row[None, :], caps, eps)[0], row)
+            assert kept == passes, (row, caps, eps)
+            checked_rows += 1
+            if not passes:
+                continue
+            # single-entry moves from a passing row, inside the solver's box
+            for l in range(L):
+                lo = row[l - 1] if l > 0 else 0.0
+                hi = min(caps[l], row[l + 1] if l + 1 < L else caps[l])
+                for cand in (lo, hi, rng.uniform(lo, hi), row[l], *near(float(row[l]))):
+                    cand = float(min(max(cand, lo), hi))
+                    moved = row.copy()
+                    moved[l] = cand
+                    worst = float(np.max((moved[-1] - moved[:-1]) * (caps[:-1] - moved[:-1]),
+                                         initial=0.0))
+                    for move_eps in (eps, *near(worst)):
+                        if not row_products_ok_reference(row.tolist(), caps, move_eps):
+                            continue
+                        got = _move_ok(row.tolist(), l, cand, caps.tolist(), move_eps)
+                        assert got == row_products_ok_reference(moved.tolist(), caps, move_eps)
+                        checked_moves += 1
+    assert checked_rows > 1000 and checked_moves > 5000
 
 
 def test_relaxed_schedule_runs_and_tightens():
