@@ -6,15 +6,23 @@ uses a counter-based generator (Philox keyed by the seed, one uniform per
 (replication, client) cell), so results are reproducible and independent of
 evaluation order; aggregation is a fixed-order vectorized reduction.
 
+Best responses are tabulated per type before any draw.  In the default
+``truthful_first`` mode most types keep their own item, and whether one does
+is read off the prefix maximum over items sorted by repurchase amount that
+the regret audit uses: O(K^2 L) work for the whole grid, against O((K L)^2)
+for comparing every item.  Only the other types, and every type in
+``max_payment`` mode, compare all K*L items.
+
 A uniform becomes a type by inverse CDF through a bucketed guide table
-(indexed search; Chen & Asau, 1974): the bucket of ``u`` gives the type
-directly unless a cumulative probability falls inside that bucket, and only
-those cells fall back to a binary search, so every draw equals
-``searchsorted(cum, u, side="right")``.  Replications are drawn, looked up
-and aggregated in fixed blocks.  Philox fills arrays sequentially and every
-per-replication total is a row-local sum, so the blocks change no bit of the
-result; what stays resident is the lookup tables, one block of cells, and
-16 bytes per replication (its total repurchase and its utility).
+(indexed search; Chen & Asau, 1974): one gather from a table of 2**16 small
+integers gives the type of every draw whose bucket holds no cumulative
+probability, and the marker -1 sends the others to a binary search, so every
+draw equals ``searchsorted(cum, u, side="right")`` capped at the last type.
+Replications are drawn, looked up and aggregated in fixed blocks.  Philox
+fills arrays sequentially and every per-replication total is a row-local
+sum, so the blocks change no bit of the result; what stays resident is the
+lookup tables, one block of cells, and 16 bytes per replication (its total
+repurchase and its utility).
 """
 
 from __future__ import annotations
@@ -131,24 +139,30 @@ def best_response(
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
-    """start[b] = #{cum <= b / _BUCKETS} for b in 0.._BUCKETS.
+    """table[b] = the type of every u in [b / _BUCKETS, (b + 1) / _BUCKETS), or -1.
 
-    A cumulative value c counts from bucket edge ceil(c * _BUCKETS) on;
-    values above 1 never count.
+    A cumulative value c counts from bucket edge ceil(c * _BUCKETS) on, and
+    type j covers the edges from where cum[j - 1] counts up to where cum[j]
+    does; the last type covers the rest, which caps a draw at len(cum) - 1.
+    A value that counts from edge b + 1 falls inside bucket b, whose draws
+    then need the search: its entry is -1.  Entries lie in [-1, len(cum)),
+    so the dtype is the narrowest signed integer holding -len(cum): one
+    byte up to 128 types, two up to 32,768.
     """
-    first = np.clip(np.ceil(cum * _BUCKETS), 0, _BUCKETS + 1).astype(np.intp)
-    return np.cumsum(np.bincount(first, minlength=_BUCKETS + 2)[:-1])
+    first = np.clip(np.ceil(cum[:-1] * _BUCKETS), 0, _BUCKETS + 1).astype(np.intp)
+    edges = np.diff(first, prepend=0, append=_BUCKETS + 1)
+    table = np.repeat(np.arange(len(cum), dtype=np.min_scalar_type(-len(cum))), edges)
+    table[first[(first > 0) & (first <= _BUCKETS)] - 1] = -1
+    return table[:_BUCKETS]
 
 
-def _lookup(cum: np.ndarray, start: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _lookup(cum: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """min(searchsorted(cum, u, side="right"), len(cum) - 1) for u in [0, 1)."""
-    b = (u * _BUCKETS).astype(np.intp)
-    idx = start[b]
-    # A bucket with no cumulative value in (b/B, (b+1)/B] maps all of itself
-    # to start[b]; the others need the search.
-    split = np.flatnonzero(idx != start[b + 1])
-    idx[split] = np.searchsorted(cum, u[split], side="right")
-    return np.minimum(idx, len(cum) - 1)
+    idx = table[(u * _BUCKETS).astype(np.intp)]
+    split = np.flatnonzero(idx < 0)
+    # Without its last value the search stops at len(cum) - 1.
+    idx[split] = np.searchsorted(cum[:-1], u[split], side="right")
+    return idx
 
 
 def _type_blocks(instance: MarketInstance, config: SimulationConfig):
@@ -156,12 +170,12 @@ def _type_blocks(instance: MarketInstance, config: SimulationConfig):
     consecutive replications at a time."""
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     cums = [np.cumsum(client.probs.ravel()) for client in instance.clients]
-    tables = [(cum, _guide_table(cum)) for cum in cums]
+    tables = [_guide_table(cum) for cum in cums]
     for lo in range(0, config.replications, _BLOCK):
         u = rng.random((min(_BLOCK, config.replications - lo), instance.num_clients))
         types = np.empty(u.shape, dtype=np.intp)
-        for i, (cum, start) in enumerate(tables):
-            types[:, i] = _lookup(cum, start, u[:, i])
+        for i, (cum, table) in enumerate(zip(cums, tables)):
+            types[:, i] = _lookup(cum, table, u[:, i])
         yield types
 
 
@@ -169,16 +183,30 @@ def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str)
     """Per-type best-response lookup: chosen x, chosen p, and item code.
 
     Codes are k * L + l for items, -1 for opt-out; the table index is the
-    l-major type index used by the sampler.
+    l-major type index used by the sampler.  In ``truthful_first`` mode a
+    type keeps its own item exactly when ``_choices_at`` would give it: the
+    item is affordable and its utility is at least max(best, 0) - CHOICE_TOL,
+    best being the tol-0 prefix maximum ``regret`` uses.  Both sides round
+    the same products over the same affordable set and the max is exact, so
+    the codes agree bit for bit.  The other types go through ``_choices_at``,
+    one capacity at a time.
     """
     grid = instance.grid
-    ks = np.arange(grid.num_valuations)
-    codes = np.concatenate([
-        _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
-        for l in range(grid.num_capacities)
-    ])
+    K, L = grid.num_valuations, grid.num_capacities
+    x = contract.allocation
+    codes = np.arange(K * L).reshape(K, L)  # each type's own item
+    keeps_own = np.zeros((K, L), dtype=bool)
+    if tie_break == TIE_TRUTHFUL_FIRST:
+        (best,) = _best_affordable_utility(grid, contract)
+        truth = _truthful_utilities(grid, contract)
+        keeps_own = (x <= grid.capacities) & (truth >= np.maximum(best, 0.0) - CHOICE_TOL)
+    for l in range(L):
+        ks = np.flatnonzero(~keeps_own[:, l])
+        if ks.size:
+            codes[ks, l] = _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
+    codes = codes.T.ravel()
     # Code -1 picks the appended zero: opting out moves nothing.
-    chosen_x = np.append(contract.allocation.ravel(), 0.0)[codes]
+    chosen_x = np.append(x.ravel(), 0.0)[codes]
     chosen_p = np.append(contract.payment.ravel(), 0.0)[codes]
     return chosen_x, chosen_p, codes
 

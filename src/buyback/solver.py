@@ -564,6 +564,7 @@ def _solve_relaxed(
     epsilon: float,
     restarts: int,
     seed: int,
+    warm: np.ndarray,
     extra_starts: tuple[np.ndarray, ...] = (),
 ) -> SolveResult:
     grid = instance.grid
@@ -572,8 +573,7 @@ def _solve_relaxed(
     coef, w = _reduced_coefficients(instance)
     M, D = instance.penalty, instance.demand_floor
 
-    warm = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT)
-    starts = [warm.contract.allocation, np.zeros((K, L))]
+    starts = [warm, np.zeros((K, L))]
     starts.extend(_feasible_start(x, caps, epsilon) for x in extra_starts)
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
@@ -626,7 +626,8 @@ def solve_multi_relaxed(
         )
     if restarts < 1:
         raise ValidationError(f"restarts = {restarts} must be >= 1")
-    return _solve_relaxed(instance, epsilon, restarts, seed)
+    warm = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation
+    return _solve_relaxed(instance, epsilon, restarts, seed, warm)
 
 
 def relaxed_schedule(
@@ -639,15 +640,17 @@ def relaxed_schedule(
 
     Each stage seeds the next with its solution (rows projected back to the
     greedy form where the tighter epsilon would reject them); the result is
-    the final, smallest-epsilon solve.
+    the final, smallest-epsilon solve.  Every stage shares one reduced-exact
+    warm start.
     """
     if not epsilons:
         raise ValidationError("epsilons must be non-empty")
     for eps in epsilons:
         if not 0.0 < eps < math.inf:
             raise ValidationError(f"epsilon = {eps} must be positive and finite")
+    warm = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation
     carried: tuple[np.ndarray, ...] = ()
     for eps in epsilons:
-        result = _solve_relaxed(instance, eps, restarts, seed, extra_starts=carried)
+        result = _solve_relaxed(instance, eps, restarts, seed, warm, extra_starts=carried)
         carried = (result.contract.allocation,)
     return result

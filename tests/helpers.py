@@ -26,7 +26,7 @@ from buyback.simulation import (
     CHOICE_TOL,
     TIE_TRUTHFUL_FIRST,
     SimulationSummary,
-    _choice_tables,
+    _choices_at,
 )
 from buyback.solver import (
     MAX_CANDIDATES,
@@ -452,6 +452,24 @@ def sample_type_indices_reference(instance: MarketInstance, config) -> np.ndarra
     return types
 
 
+def choice_tables_reference(instance: MarketInstance, contract: Contract, tie_break: str):
+    """Per-type best-response lookup with one full ``_choices_at`` table per capacity.
+
+    Codes are k * L + l for items, -1 for opt-out; the table index is the
+    l-major type index used by the sampler.
+    """
+    grid = instance.grid
+    ks = np.arange(grid.num_valuations)
+    codes = np.concatenate([
+        _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
+        for l in range(grid.num_capacities)
+    ])
+    # Code -1 picks the appended zero: opting out moves nothing.
+    chosen_x = np.append(contract.allocation.ravel(), 0.0)[codes]
+    chosen_p = np.append(contract.payment.ravel(), 0.0)[codes]
+    return chosen_x, chosen_p, codes
+
+
 def simulate_reference(
     instance: MarketInstance, contract: Contract, config
 ) -> SimulationSummary:
@@ -459,7 +477,7 @@ def simulate_reference(
     check_shapes(instance.grid, contract)
     K, L = instance.grid.num_valuations, instance.grid.num_capacities
     types = sample_type_indices_reference(instance, config)
-    chosen_x, chosen_p, codes = _choice_tables(instance, contract, config.tie_break)
+    chosen_x, chosen_p, codes = choice_tables_reference(instance, contract, config.tie_break)
 
     xs = chosen_x[types]  # (R, n)
     ps = chosen_p[types]

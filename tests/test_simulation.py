@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,16 +20,19 @@ from buyback import (
     provider_expected_utility,
     simulate,
 )
+from buyback import simulation
 from buyback.simulation import (
     _BLOCK,
     _BUCKETS,
     _choice_tables,
+    _choices_at,
     _guide_table,
     _lookup,
     _type_blocks,
 )
 from helpers import (
     best_response_reference,
+    choice_tables_reference,
     linear_penalty_regime,
     perturb_contract,
     point_mass_clients,
@@ -114,6 +118,53 @@ def test_choices_match_reference(tie_break):
                     assert chosen_x[t] == contract.allocation[ref]
                     assert chosen_p[t] == contract.payment[ref]
     assert opt_outs > 0
+
+
+def _choice_table_cases(rng):
+    """Random menus of every kind, K = 1 and L = 1 grids, and menus at the
+    edges of the truthful shortcut: own items beyond capacity, nothing worth
+    signing, and a truthful item inside or just outside the CHOICE_TOL band
+    of a lower-coded item."""
+    cases = []
+    for i in range(160):
+        inst = random_instance(rng, max_k=4, max_l=4, integer=i % 2 == 0,
+                               k=1 if i % 8 == 1 else None, l=1 if i % 8 == 3 else None)
+        cases.append((inst, random_menu(rng, inst.grid, MENU_KINDS[i % 4])))
+    for _ in range(10):
+        inst = random_instance(rng, max_k=5, max_l=5)
+        grid = inst.grid
+        shape = (grid.num_valuations, grid.num_capacities)
+        above = grid.capacities[None, :] + rng.uniform(0.1, 1.0, shape)  # own item unaffordable
+        cases.append((inst, Contract(above, rng.uniform(0.0, 10.0, shape))))
+        cases.append((inst, Contract(np.ones(shape), np.zeros(shape))))  # every item hurts
+    client = ClientDistribution([[0.5, 0.5]])
+    for gap in (5e-10, 2e-9):  # type (1, 0): item 1 ties item 0 within CHOICE_TOL, then not
+        cases.append((MarketInstance(GRID_K2, (client,), 1.0, 0.0, 0.0),
+                      Contract([[1.0], [1.0]], [[5.0], [5.0 - gap]])))
+    return cases
+
+
+@pytest.mark.parametrize("tie_break", ["truthful_first", "max_payment"])
+def test_choice_tables_match_full_table_reference(tie_break, monkeypatch):
+    fallback_types = []
+
+    def spy(grid, contract, ks, l, mode, tol):
+        fallback_types.append(len(ks))
+        return _choices_at(grid, contract, ks, l, mode, tol)
+
+    monkeypatch.setattr(simulation, "_choices_at", spy)
+    cases = _choice_table_cases(np.random.default_rng(223))
+    for inst, contract in cases:
+        got = _choice_tables(inst, contract, tie_break)
+        for g, r in zip(got, choice_tables_reference(inst, contract, tie_break)):
+            assert g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
+    types = sum(inst.grid.num_valuations * inst.grid.num_capacities for inst, _ in cases)
+    if tie_break == "truthful_first":  # the shortcut decides most types, not all
+        assert 0 < sum(fallback_types) < types
+        assert [_choice_tables(*case, tie_break)[2][1] for case in cases[-2:]] == [1, 0]
+    else:
+        assert sum(fallback_types) == types
 
 
 def test_simulation_config_validation():
@@ -296,6 +347,7 @@ def test_guide_table_lookup_at_edges():
         np.concatenate([edge_grid, [1.0]]),
         np.concatenate([edge_grid, [1.0 - 2.0**-40]]),  # short of 1
         np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0 + 2.0**-52]),  # repeats, above 1
+        np.array([0.5, 1.0 - 2.0**-20, 1.0 - 2.0**-40]),  # last bucket split, short of 1
     ]
     for cum in tables:
         cum = np.sort(cum)
@@ -312,6 +364,26 @@ def test_guide_table_lookup_at_edges():
         u = u[(u >= 0.0) & (u < 1.0)]
         expected = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         assert np.array_equal(_lookup(cum, _guide_table(cum), u), expected)
+
+
+@pytest.mark.parametrize("num_types", [127, 128, 129, 255, 256, 257, 32_767, 32_768, 32_769])
+def test_sampler_at_table_dtype_edges(num_types):
+    # Table entries lie in [-1, K * L): one byte up to 128 types, two up to 32,768.
+    rng = np.random.default_rng(num_types)
+    k = next(d for d in range(1, 200) if num_types % d == 0 and num_types // d <= 11_000)
+    grid = random_grid(rng, k=k, l=num_types // k)
+    heavy_last = rng.random((grid.num_capacities, grid.num_valuations))
+    heavy_last.flat[-1] = heavy_last.sum()  # about half the mass on the last type
+    clients = (ClientDistribution(heavy_last / heavy_last.sum()),) + random_clients(rng, grid, 1)
+    inst = MarketInstance(grid, clients, 1.0, 0.0, 0.0)
+    table = _guide_table(np.cumsum(clients[0].probs.ravel()))
+    narrowest = np.int8 if num_types <= 128 else np.int16 if num_types <= 32_768 else np.int32
+    assert table.dtype == narrowest
+    assert 0 < np.sum(table < 0) < _BUCKETS
+    config = SimulationConfig(replications=3000, seed=num_types)
+    types = np.concatenate(list(_type_blocks(inst, config)))
+    assert np.array_equal(types, sample_type_indices_reference(inst, config))
+    assert types.max() == num_types - 1
 
 
 @pytest.mark.parametrize("tie_break", ["truthful_first", "max_payment"])
@@ -331,6 +403,29 @@ def test_streamed_simulation_matches_whole_array_reference(tie_break):
             assert repr(getattr(got, field)) == repr(getattr(ref, field)), field
         assert got.item_counts.dtype == ref.item_counts.dtype
         assert np.array_equal(got.item_counts, ref.item_counts)
+
+
+def test_simulate_budget_150x150():
+    # Budget: n = 2 clients on a 150 x 150 grid and 10,000 replications, under
+    # 1 s and 16 MB of traced allocations, on a priced menu and on one with
+    # an entry moved (some types then deviate and take the full-table path).
+    rng = np.random.default_rng(439)
+    grid = random_grid(rng, k=150, l=150)
+    inst = MarketInstance(grid, random_clients(rng, grid, 2), 2.0, 1.0, 5.0)
+    priced = random_feasible_contract(rng, grid, pay_shift=True)
+    config = SimulationConfig(replications=10_000, seed=5)
+    for contract in (priced, perturb_contract(rng, grid, priced)):
+        start = time.perf_counter()
+        simulate(inst, contract, config)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            simulate(inst, contract, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_simulate_memory_does_not_scale_with_replications():

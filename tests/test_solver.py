@@ -26,6 +26,7 @@ from buyback import (
     solve_multi_relaxed,
     solve_single_capacity,
 )
+from buyback import solver
 from helpers import (
     exact_objective,
     oracle_grid_search_reference,
@@ -607,6 +608,19 @@ def test_relaxed_schedule_runs_and_tightens():
     assert compute_regret(RELAX_INSTANCE.grid, res.contract) <= regret_bound(
         RELAX_INSTANCE.grid, 1e-4
     )
+
+
+def test_relaxed_schedule_solves_its_warm_start_once(monkeypatch):
+    methods = []
+    solve_exact = solver._solve_exact
+
+    def counted(instance, method):
+        methods.append(method)
+        return solve_exact(instance, method)
+
+    monkeypatch.setattr(solver, "_solve_exact", counted)
+    relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4, 1e-6), restarts=1)
+    assert methods == [SolveMethod.MULTI_REDUCED_EXACT]
 
 
 def test_exact_solver_with_zero_weight_items():
