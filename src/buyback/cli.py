@@ -33,7 +33,6 @@ from .model import (
     TypeGrid,
     ValidationError,
     check_shapes,
-    client_utility,
     provider_expected_utility,
 )
 from .simulation import SimulationConfig, SimulationSummary, simulate
@@ -194,20 +193,25 @@ def audit_dict(report: AuditReport) -> dict:
 
 
 def _menu_rows(instance: MarketInstance, contract: Contract) -> list[dict]:
+    """One row per item, valuation-major; each utility is ``client_utility``
+    of the item's own valuation, the same multiply and subtract per entry."""
     grid = instance.grid
-    rows = []
-    for k in range(grid.num_valuations):
-        for l in range(grid.num_capacities):
-            rows.append(
-                {
-                    "valuation": float(grid.valuations[k]),
-                    "capacity": float(grid.capacities[l]),
-                    "repurchase": float(contract.allocation[k, l]),
-                    "payment": float(contract.payment[k, l]),
-                    "client_utility": client_utility(grid, contract, k, (k, l)),
-                }
-            )
-    return rows
+    x, p = contract.allocation, contract.payment
+    utility = p - grid.valuations[:, None] * x
+    capacities = grid.capacities.tolist()
+    return [
+        {
+            "valuation": v,
+            "capacity": c,
+            "repurchase": x_c,
+            "payment": p_c,
+            "client_utility": u_c,
+        }
+        for v, x_row, p_row, u_row in zip(
+            grid.valuations.tolist(), x.tolist(), p.tolist(), utility.tolist()
+        )
+        for c, x_c, p_c, u_c in zip(capacities, x_row, p_row, u_row)
+    ]
 
 
 def solve_report(instance: MarketInstance, result: SolveResult, tol: float) -> dict:
@@ -229,16 +233,16 @@ def solve_report(instance: MarketInstance, result: SolveResult, tol: float) -> d
 def _write_out(doc: dict, out_path: str | None) -> None:
     if out_path is None:
         return
+    text = json.dumps(doc, indent=2) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
-def _print_menu(instance: MarketInstance, contract: Contract) -> None:
+def _print_menu(rows: list[dict]) -> None:
     print("contract menu:")
     print(f"  {'valuation':>12} {'capacity':>12} {'repurchase':>12} "
           f"{'payment':>12} {'utility':>12}")
-    for row in _menu_rows(instance, contract):
+    for row in rows:
         print(
             f"  {row['valuation']:>12.6g} {row['capacity']:>12.6g} "
             f"{row['repurchase']:>12.6g} {row['payment']:>12.6g} "
@@ -277,7 +281,7 @@ def cmd_solve(args) -> int:
         raise ValidationError(f"unknown method '{method}'")
     report = solve_report(instance, result, args.tol)
     _write_out(report, args.out)
-    _print_menu(instance, result.contract)
+    _print_menu(report["menu"])
     print(f"method {result.method.value}  epsilon {result.epsilon:.6g}")
     print(f"expected provider utility: {result.expected_utility:.6g}")
     print(f"regret {report['audit']['regret']:.6g}  bound {report['audit']['regret_bound']:.6g}")
@@ -352,7 +356,7 @@ def cmd_oracle(args) -> int:
     result = oracle_grid_search(instance, args.grid_step)
     report = solve_report(instance, result, args.tol)
     _write_out(report, args.out)
-    _print_menu(instance, result.contract)
+    _print_menu(report["menu"])
     print(f"method {result.method.value}  candidates {result.diagnostics['candidates']}")
     print(f"expected provider utility: {result.expected_utility:.6g}")
     return EXIT_OK

@@ -5,7 +5,8 @@ across capacities, the cheapest payments that keep the menu incentive
 compatible and individually rational are fixed: the top valuation is paid
 exactly its own value for what it returns, and every lower valuation is paid
 by a backward telescoping step that makes it indifferent to the next item up
-the menu.  The recursion runs column by column (one capacity at a time).
+the menu.  The recursion runs down every capacity column at once, each entry
+taking the same float operations as in a column on its own.
 
 Payments are computed by backward recursion rather than the equivalent
 closed-form sum to avoid O(K^2) accumulation error; the closed form is kept
@@ -44,7 +45,6 @@ def column_payments(
         raise PreconditionError(
             f"allocation column has shape {x.shape}, expected {v.shape}"
         )
-    K = x.size
     if np.any(x > capacity + tol):
         k = int(np.argmax(x - capacity))
         raise PreconditionError(
@@ -61,14 +61,24 @@ def column_payments(
             f"> x[{k}]={x[k]!r}"
         )
 
-    # Sub-tol violations are roundoff from relaxed solvers: clamp them away.
-    np.clip(x, 0.0, capacity, out=x)
-    np.minimum.accumulate(x, out=x)
+    return _clamped_payments(v, x[:, None], capacity)[:, 0]
 
-    p = np.empty(K)
-    p[K - 1] = v[K - 1] * x[K - 1]
-    for k in range(K - 2, -1, -1):
-        p[k] = p[k + 1] - v[k] * (x[k + 1] - x[k])
+
+def _clamped_payments(v: np.ndarray, x: np.ndarray, capacity) -> np.ndarray:
+    """Payments for the (K, L) allocation columns ``x``, which passed the checks.
+
+    Sub-tol violations are roundoff from relaxed solvers: entries strictly
+    outside [0, capacity] are clamped, which leaves -0.0 as np.clip does on
+    one column with scalar bounds, and each column is made non-increasing.
+    The backward recursion p[k] = p[k+1] - v[k] (x[k+1] - x[k]) then runs
+    down all columns at once as one sequential subtraction.
+    """
+    x = np.where(x < 0.0, 0.0, x)
+    x = np.where(x > capacity, capacity, x)
+    np.minimum.accumulate(x, axis=0, out=x)
+    p = np.empty_like(x)
+    steps = v[:-1, None] * np.diff(x, axis=0)
+    np.subtract.accumulate(np.concatenate([v[-1] * x[-1:], steps[::-1]]), axis=0, out=p[::-1])
     return p
 
 
@@ -115,29 +125,44 @@ def optimal_payment_multi(
             raise PreconditionError(
                 f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
             )
-    for lo in range(L):
-        for hi in range(lo + 1, L):
-            drops = x[:, lo] - x[:, hi]
-            if np.any(drops > tol):
-                k = int(np.argmax(drops))
-                raise PreconditionError(
-                    f"P6 violated (capacity monotonicity) in row k={k}: "
-                    f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
-                )
-            strictly_more = x[:, hi] > x[:, lo] + tol
-            unrecycled = strictly_more & (np.abs(x[:, lo] - c[lo]) > tol)
-            if np.any(unrecycled):
-                k = int(np.argmax(unrecycled))
-                raise PreconditionError(
-                    f"P6 violated (maximal recycling) in row k={k}: "
-                    f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
-                    f"but x[l={lo}] != c={c[lo]!r}"
-                )
+    if L > 1:
+        # a row's largest drop from column lo is to its smallest later entry
+        # and its largest rise to its largest one, so the suffix extremes
+        # find the first lo with a failing pair; fmin and fmax skip NaN,
+        # which fails no comparison in the pair checks either
+        later = x[:, :0:-1]
+        low = np.fmin.accumulate(later, axis=1)[:, ::-1]
+        high = np.fmax.accumulate(later, axis=1)[:, ::-1]
+        head = x[:, :-1]
+        failing = (head - low > tol) | ((high > head + tol) & (np.abs(head - c[:-1]) > tol))
+        if np.any(failing):
+            _raise_p6(x, c, int(np.argmax(np.any(failing, axis=0))), tol)
+    over = x > c + tol  # column_payments' capacity test, which rounds unlike P1's
+    if np.any(over):
+        l = int(np.argmax(np.any(over, axis=0)))
+        column_payments(grid.valuations, x[:, l], float(c[l]), tol)
+    return _clamped_payments(grid.valuations, x, c)
 
-    p = np.empty_like(x)
-    for l in range(L):
-        p[:, l] = column_payments(grid.valuations, x[:, l], float(c[l]), tol)
-    return p
+
+def _raise_p6(x: np.ndarray, c: np.ndarray, lo: int, tol: float) -> None:
+    """Raise the P6 error of the first pair (lo, hi) that fails, drops first."""
+    for hi in range(lo + 1, x.shape[1]):
+        drops = x[:, lo] - x[:, hi]
+        if np.any(drops > tol):
+            k = int(np.argmax(drops))
+            raise PreconditionError(
+                f"P6 violated (capacity monotonicity) in row k={k}: "
+                f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
+            )
+        strictly_more = x[:, hi] > x[:, lo] + tol
+        unrecycled = strictly_more & (np.abs(x[:, lo] - c[lo]) > tol)
+        if np.any(unrecycled):
+            k = int(np.argmax(unrecycled))
+            raise PreconditionError(
+                f"P6 violated (maximal recycling) in row k={k}: "
+                f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
+                f"but x[l={lo}] != c={c[lo]!r}"
+            )
 
 
 def priced_contract(grid: TypeGrid, allocation: np.ndarray, tol: float = CLAMP_TOL) -> Contract:

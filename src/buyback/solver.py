@@ -17,8 +17,10 @@ find the best vertex without listing them: the objective is a sum of per-row
 terms over non-increasing levels, so a DP over rows and levels keeps, per
 (row, level), the single best suffix when M * D = 0, and otherwise the
 Pareto front of (linear objective, supply) pairs, from which the best
-crossing of every block is paired up.  The few survivors are ranked by the
-full objective.
+crossing of every block is paired up.  Each DP row ranks its candidates in
+one sort and reads every level's front off that ranking; a vectorised screen
+passes on only the crossing blocks whose theta range may meet their segment.
+The few survivors are ranked by the full objective.
 
 Three solving routes live here:
 
@@ -59,6 +61,9 @@ from .payments import column_payments, optimal_payment_multi
 #: Hard cap on the oracle's lattice size and on the exact DP's front points
 #: plus crossing pairs.
 MAX_CANDIDATES = 10_000_000
+
+#: Blocks (a, b, m) per chunk of the exact solver's crossing screen.
+_SCREEN_BLOCK = 1 << 16
 
 #: Menus per block when the oracle builds its row tables, and top indices per
 #: block of its lattice walk: with K = 1 the lattice is the axis itself.
@@ -139,49 +144,104 @@ def _best_levels(gain: np.ndarray, mass: np.ndarray) -> tuple:
     return best[-1][2]
 
 
-def _pareto_front(g: np.ndarray, s: np.ndarray, levels: np.ndarray):
-    """The (g, s) Pareto front of a candidate set, best g first.
-
-    Rows rank by g, then s, then the lexicographically larger level tuple,
-    and a row stays when its s beats every higher-ranked row's.
-    """
-    order = np.lexsort(np.vstack([-levels[:, ::-1].T, -s, -g]))
-    ranked = s[order]
-    order = order[np.concatenate([[True], ranked[1:] > np.maximum.accumulate(ranked)[:-1]])]
-    return g[order], s[order], levels[order]
-
-
 def _level_fronts(gain, mass, rows, suffix: bool, points: int):
     """Pareto fronts of partial level tuples, per rows taken and level bound.
 
     Rows are added in the order of ``rows``.  With ``suffix`` each row's
     level is prepended and ``out[n][j]`` holds tuples whose first level is
     <= j; otherwise it is appended and ``out[n][j]`` holds tuples whose last
-    level is >= j (j >= 1).  A point is (sum of gain, sum of mass, levels).
-    ``points`` counts on from the given total; CandidateCountError is raised
-    once it passes MAX_CANDIDATES.
+    level is >= j (j >= 1).  A point is (sum of gain, sum of mass, levels),
+    and a front runs best g first: points rank by g, then s, then the
+    lexicographically larger level tuple, and one stays when its s beats
+    every higher-ranked point's.  ``points`` counts on from the given total;
+    CandidateCountError is raised once it passes MAX_CANDIDATES.
+
+    A row's candidates, every level's front of the row before extended by
+    that level, are ranked in one sort.  Bounds are taken in order, each
+    adding its level's candidates to a mask over the ranks, and the front at
+    bound j is the masked points whose s beats the running maximum (the
+    maxima sweep of Kung, Luccio & Preparata, JACM 1975).  The rank order is
+    strict, so front(A + front(B)) = front(A + B), and these are the fronts
+    that merging one level at a time gives.
     """
     width = gain.shape[1]
+    levels = range(width) if suffix else range(width - 1, 0, -1)
     empty = np.zeros((1, 0), dtype=np.min_scalar_type(-width))
     out = [[(np.zeros(1), np.zeros(1), empty)] * width]
     for k in rows:
+        parts = [out[-1][j] for j in levels]
+        sizes = [len(part[0]) for part in parts]
+        col = np.repeat(np.array(levels, dtype=empty.dtype), sizes)
+        g = np.concatenate([part[0] for part in parts]) + gain[k, col]
+        s = np.concatenate([part[1] for part in parts]) + mass[k, col]
+        lev = np.concatenate([part[2] for part in parts])
+        lev = np.hstack([col[:, None], lev] if suffix else [lev, col[:, None]])
+        order = np.lexsort((*-lev[:, ::-1].T, -s, -g))
+        g, s, lev = g[order], s[order], lev[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends = np.cumsum(sizes).tolist()
         row = [None] * width
-        for j in range(width) if suffix else range(width - 1, 0, -1):
-            g, s, lev = out[-1][j]
-            col = np.full((len(g), 1), j, dtype=lev.dtype)
-            stacked = np.hstack([col, lev] if suffix else [lev, col])
-            here = (g + gain[k, j], s + mass[k, j], stacked)
-            merged = row[j - 1] if suffix else row[j + 1] if j + 1 < width else None
-            if merged is not None:
-                here = tuple(np.concatenate(pair) for pair in zip(merged, here))
-            row[j] = _pareto_front(*here)
-            points += len(row[j][0])
+        member = np.zeros(len(order), dtype=bool)  # by rank: candidates at the levels so far
+        for j, start, end in zip(levels, [0, *ends], ends):
+            member[rank[start:end]] = True
+            front = member.nonzero()[0]
+            ranked = s[front]
+            keep = np.empty(len(front), dtype=bool)
+            keep[0] = True
+            np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=keep[1:])
+            front = front[keep]
+            row[j] = (g[front], s[front], lev[front])
+            points += len(front)
             if points > MAX_CANDIDATES:
                 raise CandidateCountError(
                     f"exact solve needs more than {MAX_CANDIDATES} front points"
                 )
         out.append(row)
     return out, points
+
+
+def _crossing_screen(w, caps, G, D, before, after):
+    """(a, b, m) of every crossing block worth its exact theta checks, in order.
+
+    ``before[a][m]`` and ``after[b][m]`` are the fronts on either side of
+    block [a..b] in capacity segment m.  _penalty_candidates skips a block
+    whose slope is 0 or whose theta range misses the segment.  Here every
+    block's slope and constant are summed at once in another order.  Every
+    term is non-negative, so a slope is positive exactly when the exact one
+    is, and each sum is off by at most K*L + K + L unit roundoffs relative to
+    its value.  With x = D less the two fronts' supply, theta = (x - const)
+    / slope then moves by at most about three times that many roundoffs of
+    (|x| + const) / slope, which also bounds |theta| and so the rounding at
+    each threshold.  The slack is ten times that, so every block the exact
+    checks keep passes.
+    """
+    K, L = len(before), caps.size
+    s_before, s_after = (
+        np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1)
+        for fronts in (before, after)
+    )  # first and last supply of each front
+    slope_k = np.cumsum(w[::-1], axis=0)[::-1].T  # (K, L): weight at capacities >= m
+    const_k = np.zeros((K, L))
+    const_k[:, 1:] = np.cumsum(w * caps[:, None], axis=0)[:-1].T  # and below m, times c
+    rtol = 16 * (K * L + K + L) * np.finfo(float).eps
+    b = np.arange(K)[None, :, None]
+    step = max(1, _SCREEN_BLOCK // (K * L))
+    blocks = []
+    for a0 in range(0, K, step):
+        a = np.arange(a0, min(a0 + step, K))[:, None, None]
+        slope = np.cumsum(np.where(b >= a, slope_k, 0.0), axis=1)  # [a, b, m]
+        const = np.cumsum(np.where(b >= a, const_k, 0.0), axis=1)
+        x_lo = D - (s_before[0, a0 : a0 + step, None] + s_after[0])
+        x_hi = D - (s_before[1, a0 : a0 + step, None] + s_after[1])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            slack = rtol * (np.abs(x_lo) + np.abs(x_hi) + const) / slope
+            keep = (slope > 0.0) & (
+                (x_lo - const) / slope >= G[:-1] - 1e-12 - slack
+            ) & ((x_hi - const) / slope <= G[1:] + 1e-12 + slack)
+        i, bi, m = np.nonzero(keep)
+        blocks += zip((i + a0).tolist(), bi.tolist(), m.tolist())
+    return blocks
 
 
 def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
@@ -194,22 +254,25 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     >= m+1 and the rows after it at levels <= m, so any prefix pairs with
     any suffix, theta follows from supply == D, and the objective there is
     lin.  Per (a, b, m) the best pair with theta in the segment is kept.
+    Blocks whose slope is 0 are skipped, and those that pass
+    ``_crossing_screen`` get the exact theta checks and pairing.
     """
     K, L = coef.shape
     suffix, points = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
     suffix.reverse()  # suffix[k][j]: rows k..K-1, level of row k <= j
     prefix, points = _level_fronts(gain, mass, range(K - 1), False, points)
     # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
+    before = [prefix[a][1:] for a in range(K)]  # before[a][m], block [a..b] in segment m
+    after = [suffix[b + 1][:L] for b in range(K)]  # after[b][m]
 
-    blocks = []
-    pairs = 0
-    for a in range(K):
-        for b in range(a, K):
-            for m in range(L):
-                slope = float(np.sum(w[m:, a : b + 1]))
-                if slope > 0.0:
-                    blocks.append((a, b, m, slope))
-                    pairs += len(prefix[a][m + 1][0]) * len(suffix[b + 1][m][0])
+    # a sum of non-negative weights is positive iff one of them is: the first
+    # block end b at which [a..b] x [m..L-1] holds a positive weight
+    hit = np.logical_or.accumulate(w[::-1] > 0.0, axis=0)[::-1].T  # (K, L)
+    first = np.minimum.accumulate(np.where(hit, np.arange(K)[:, None], K)[::-1], axis=0)[::-1]
+    size_after = np.zeros((K + 1, L), dtype=np.int64)
+    size_after[:K] = np.cumsum([[len(f[0]) for f in row] for row in after[::-1]], axis=0)[::-1]
+    size_before = np.array([[len(f[0]) for f in row] for row in before], dtype=np.int64)
+    pairs = int(np.sum(size_before * np.take_along_axis(size_after, first, axis=0)))
     if points + pairs > MAX_CANDIDATES:
         raise CandidateCountError(
             f"exact solve needs {points} front points and {pairs} crossing pairs "
@@ -218,10 +281,11 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
 
     H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
     crossings = []
-    for a, b, m, slope in blocks:
+    for a, b, m in _crossing_screen(w, caps, G, D, before, after):
+        slope = float(np.sum(w[m:, a : b + 1]))
         const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
-        gP, sP, levP = prefix[a][m + 1]
-        gQ, sQ, levQ = suffix[b + 1][m]
+        gP, sP, levP = before[a][m]
+        gQ, sQ, levQ = after[b][m]
         # fronts run in increasing s, and theta falls as s rises
         if (D - (sP[0] + sQ[0]) - const) / slope < G[m] - 1e-12:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from buyback import (
 )
 from buyback.cli import _number
 from buyback.feasibility import _truthful_utilities
-from buyback.model import check_shapes, provider_expected_utility
+from buyback.model import check_shapes, client_utility, provider_expected_utility
+from buyback.payments import CLAMP_TOL, PreconditionError
 from buyback.simulation import (
     _TIE_MODES,
     CHOICE_TOL,
@@ -431,6 +433,327 @@ def solve_reduced_enumeration(instance: MarketInstance) -> SolveResult:
             "crossing_candidates": n_cross,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# The exact solve as first written: one Pareto sort per (row, level), two
+# sums per crossing block, a pair loop with one scalar recursion per payment
+# column, and report rows priced item by item with ``client_utility``.  The
+# library must match each bit for bit, error messages and bytes written
+# included.
+# ---------------------------------------------------------------------------
+
+
+def pareto_front_reference(g: np.ndarray, s: np.ndarray, levels: np.ndarray):
+    """The (g, s) Pareto front of a candidate set, best g first.
+
+    Rows rank by g, then s, then the lexicographically larger level tuple,
+    and a row stays when its s beats every higher-ranked row's.
+    """
+    order = np.lexsort(np.vstack([-levels[:, ::-1].T, -s, -g]))
+    ranked = s[order]
+    order = order[np.concatenate([[True], ranked[1:] > np.maximum.accumulate(ranked)[:-1]])]
+    return g[order], s[order], levels[order]
+
+
+def level_fronts_reference(gain, mass, rows, suffix: bool, points: int):
+    """Pareto fronts of partial level tuples, per rows taken and level bound.
+
+    Rows are added in the order of ``rows``.  With ``suffix`` each row's
+    level is prepended and ``out[n][j]`` holds tuples whose first level is
+    <= j; otherwise it is appended and ``out[n][j]`` holds tuples whose last
+    level is >= j (j >= 1).  A point is (sum of gain, sum of mass, levels).
+    ``points`` counts on from the given total; CandidateCountError is raised
+    once it passes MAX_CANDIDATES.
+    """
+    width = gain.shape[1]
+    empty = np.zeros((1, 0), dtype=np.min_scalar_type(-width))
+    out = [[(np.zeros(1), np.zeros(1), empty)] * width]
+    for k in rows:
+        row = [None] * width
+        for j in range(width) if suffix else range(width - 1, 0, -1):
+            g, s, lev = out[-1][j]
+            col = np.full((len(g), 1), j, dtype=lev.dtype)
+            stacked = np.hstack([col, lev] if suffix else [lev, col])
+            here = (g + gain[k, j], s + mass[k, j], stacked)
+            merged = row[j - 1] if suffix else row[j + 1] if j + 1 < width else None
+            if merged is not None:
+                here = tuple(np.concatenate(pair) for pair in zip(merged, here))
+            row[j] = pareto_front_reference(*here)
+            points += len(row[j][0])
+            if points > MAX_CANDIDATES:
+                raise CandidateCountError(
+                    f"exact solve needs more than {MAX_CANDIDATES} front points"
+                )
+        out.append(row)
+    return out, points
+
+
+def penalty_candidates_reference(gain, mass, coef, w, caps, G, X, D):
+    """Grid vertices and demand-floor crossings that can win when M * D > 0.
+
+    The objective lin + M * min(0, supply - D) grows with both lin and
+    supply, so a winning grid tuple, and either side of a winning crossing,
+    is on its (lin, supply) Pareto front.  A crossing holds the block
+    [a..b] at theta in capacity segment m: the rows before it sit at levels
+    >= m+1 and the rows after it at levels <= m, so any prefix pairs with
+    any suffix, theta follows from supply == D, and the objective there is
+    lin.  Per (a, b, m) the best pair with theta in the segment is kept.
+    """
+    K, L = coef.shape
+    suffix, points = level_fronts_reference(gain, mass, range(K - 1, -1, -1), True, 0)
+    suffix.reverse()  # suffix[k][j]: rows k..K-1, level of row k <= j
+    prefix, points = level_fronts_reference(gain, mass, range(K - 1), False, points)
+    # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
+
+    blocks = []
+    pairs = 0
+    for a in range(K):
+        for b in range(a, K):
+            for m in range(L):
+                slope = float(np.sum(w[m:, a : b + 1]))
+                if slope > 0.0:
+                    blocks.append((a, b, m, slope))
+                    pairs += len(prefix[a][m + 1][0]) * len(suffix[b + 1][m][0])
+    if points + pairs > MAX_CANDIDATES:
+        raise CandidateCountError(
+            f"exact solve needs {points} front points and {pairs} crossing pairs "
+            f"(limit {MAX_CANDIDATES})"
+        )
+
+    H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
+    crossings = []
+    for a, b, m, slope in blocks:
+        const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
+        gP, sP, levP = prefix[a][m + 1]
+        gQ, sQ, levQ = suffix[b + 1][m]
+        # fronts run in increasing s, and theta falls as s rises
+        if (D - (sP[0] + sQ[0]) - const) / slope < G[m] - 1e-12:
+            continue
+        if (D - (sP[-1] + sQ[-1]) - const) / slope > G[m + 1] + 1e-12:
+            continue
+        theta = (D - (sP[:, None] + sQ[None, :]) - const) / slope
+        inside = (theta >= G[m] - 1e-12) & (theta <= G[m + 1] + 1e-12)
+        if not inside.any():
+            continue
+        value = gP[:, None] + gQ[None, :] + float(np.sum(coef[a : b + 1, m:])) * theta
+        i, q = np.unravel_index(np.argmax(np.where(inside, value, -np.inf)), value.shape)
+        # theta again, the supply summed row by row in y order, so a
+        # crossing's coordinates do not depend on how the fronts were built
+        rest = sum(H[j, levP[i, j]] for j in range(a))
+        rest = rest + sum(H[b + 1 + j, levQ[q, j]] for j in range(K - 1 - b))
+        t = (D - rest - const) / slope
+        if G[m] - 1e-12 <= t <= G[m + 1] + 1e-12:
+            t = min(max(t, G[m]), G[m + 1])
+            crossings.append(np.concatenate([G[levP[i]], np.full(b - a + 1, t), G[levQ[q]]]))
+    return suffix[0][L][2], crossings, points, pairs
+
+
+def column_payments_reference(
+    valuations: np.ndarray,
+    allocation_column: np.ndarray,
+    capacity: float,
+    tol: float = CLAMP_TOL,
+) -> np.ndarray:
+    """Optimal payments for one capacity column.
+
+    Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to ``tol``;
+    violations within tol are clamped to the boundary, larger ones raise
+    PreconditionError naming the offending index.
+    """
+    v = np.asarray(valuations, dtype=float)
+    x = np.array(allocation_column, dtype=float)
+    if x.ndim != 1 or x.shape != v.shape:
+        raise PreconditionError(
+            f"allocation column has shape {x.shape}, expected {v.shape}"
+        )
+    K = x.size
+    if np.any(x > capacity + tol):
+        k = int(np.argmax(x - capacity))
+        raise PreconditionError(
+            f"allocation exceeds capacity at k={k}: x={x[k]!r} > c={capacity!r}"
+        )
+    if np.any(x < -tol):
+        k = int(np.argmin(x))
+        raise PreconditionError(f"allocation negative at k={k}: x={x[k]!r}")
+    rises = np.diff(x)
+    if np.any(rises > tol):
+        k = int(np.argmax(rises))
+        raise PreconditionError(
+            f"allocation not non-increasing in valuation: x[{k + 1}]={x[k + 1]!r} "
+            f"> x[{k}]={x[k]!r}"
+        )
+
+    # Sub-tol violations are roundoff from relaxed solvers: clamp them away.
+    np.clip(x, 0.0, capacity, out=x)
+    np.minimum.accumulate(x, out=x)
+
+    p = np.empty(K)
+    p[K - 1] = v[K - 1] * x[K - 1]
+    for k in range(K - 2, -1, -1):
+        p[k] = p[k + 1] - v[k] * (x[k + 1] - x[k])
+    return p
+
+
+def optimal_payment_multi_reference(
+    grid: TypeGrid, allocation: np.ndarray, tol: float = CLAMP_TOL
+) -> np.ndarray:
+    """Optimal payment matrix, applied column by column.
+
+    The allocation must already satisfy resource feasibility (P1), be
+    non-increasing in valuation per column (P2) and greedy across capacities
+    (P6); violations beyond ``tol`` raise PreconditionError naming the
+    property and indices.
+    """
+    x = np.asarray(allocation, dtype=float)
+    K, L = grid.num_valuations, grid.num_capacities
+    if x.shape != (K, L):
+        raise PreconditionError(f"allocation has shape {x.shape}, expected {(K, L)}")
+    c = grid.capacities
+
+    over = x - c[None, :]
+    if np.any(over > tol):
+        k, l = np.argwhere(over > tol)[0]
+        raise PreconditionError(
+            f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} > c={c[l]!r}"
+        )
+    if np.any(x < -tol):
+        k, l = np.argwhere(x < -tol)[0]
+        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0")
+    if K > 1:
+        rises = np.diff(x, axis=0)
+        if np.any(rises > tol):
+            k, l = np.argwhere(rises > tol)[0]
+            raise PreconditionError(
+                f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
+            )
+    for lo in range(L):
+        for hi in range(lo + 1, L):
+            drops = x[:, lo] - x[:, hi]
+            if np.any(drops > tol):
+                k = int(np.argmax(drops))
+                raise PreconditionError(
+                    f"P6 violated (capacity monotonicity) in row k={k}: "
+                    f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
+                )
+            strictly_more = x[:, hi] > x[:, lo] + tol
+            unrecycled = strictly_more & (np.abs(x[:, lo] - c[lo]) > tol)
+            if np.any(unrecycled):
+                k = int(np.argmax(unrecycled))
+                raise PreconditionError(
+                    f"P6 violated (maximal recycling) in row k={k}: "
+                    f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
+                    f"but x[l={lo}] != c={c[lo]!r}"
+                )
+
+    p = np.empty_like(x)
+    for l in range(L):
+        p[:, l] = column_payments_reference(grid.valuations, x[:, l], float(c[l]), tol)
+    return p
+
+
+def theta_kept_blocks_reference(w, caps, G, D, prefix, suffix) -> list[tuple[int, int, int]]:
+    """The blocks (a, b, m) that ``penalty_candidates_reference`` takes past
+    its slope test and its two theta checks, in its loop order."""
+    K, L = w.shape[1], caps.size
+    kept = []
+    for a in range(K):
+        for b in range(a, K):
+            for m in range(L):
+                slope = float(np.sum(w[m:, a : b + 1]))
+                if slope <= 0.0:
+                    continue
+                const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
+                sP, sQ = prefix[a][m + 1][1], suffix[b + 1][m][1]
+                if (D - (sP[0] + sQ[0]) - const) / slope < G[m] - 1e-12:
+                    continue
+                if (D - (sP[-1] + sQ[-1]) - const) / slope > G[m + 1] + 1e-12:
+                    continue
+                kept.append((a, b, m))
+    return kept
+
+
+def dp_inputs(instance: MarketInstance):
+    """(gain, mass, coef, w, caps, G, X) as the exact solver builds them."""
+    caps = instance.grid.capacities
+    coef, w = _reduced_coefficients(instance)
+    G = np.concatenate([[0.0], caps])
+    X = np.minimum(caps[:, None], G[None, :])
+    gain = np.sum(coef[:, :, None] * X, axis=1)
+    mass = np.sum(w.T[:, :, None] * X, axis=1)
+    return gain, mass, coef, w, caps, G, X
+
+
+def exact_dp_draw(rng, i: int) -> MarketInstance:
+    """The i-th of a cycle of instances for the exact DP, with M * D > 0.
+
+    Kinds: tie-heavy integer grids, point-mass clients, zero-weight
+    capacities and entries, K = 1, L = 1, and plain random weights.
+    """
+    kind = i % 6
+    inst = random_instance(
+        rng,
+        max_k=5,
+        max_l=4 if kind == 0 else 5,
+        integer=kind == 0,
+        point_mass=kind == 1,
+        k=1 if kind == 3 else None,
+        l=1 if kind == 4 else None,
+    )
+    clients = inst.clients
+    if kind == 2:
+        L = inst.grid.num_capacities
+        keep = (rng.random(L) < 0.6)[:, None] & (rng.random(clients[0].probs.shape) < 0.7)
+        clients = []
+        for client in inst.clients:
+            probs = client.probs * keep
+            probs = probs if probs.sum() > 0.0 else client.probs
+            clients.append(ClientDistribution(probs / probs.sum()))
+        clients = tuple(clients)
+    w = sum(c.probs for c in clients)
+    full = float(np.sum(w * inst.grid.capacities[:, None]))
+    demand = float(rng.uniform(0.05, 1.05) * full)
+    if kind == 0:
+        demand = max(round(demand, 1), 0.1)
+    penalty = inst.penalty if inst.penalty > 0.0 else 1.0
+    return MarketInstance(inst.grid, clients, inst.alpha, penalty, demand)
+
+
+def menu_rows_reference(instance: MarketInstance, contract: Contract) -> list[dict]:
+    grid = instance.grid
+    rows = []
+    for k in range(grid.num_valuations):
+        for l in range(grid.num_capacities):
+            rows.append(
+                {
+                    "valuation": float(grid.valuations[k]),
+                    "capacity": float(grid.capacities[l]),
+                    "repurchase": float(contract.allocation[k, l]),
+                    "payment": float(contract.payment[k, l]),
+                    "client_utility": client_utility(grid, contract, k, (k, l)),
+                }
+            )
+    return rows
+
+
+def write_out_reference(doc: dict, out_path: str | None) -> None:
+    if out_path is None:
+        return
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def print_menu_reference(instance: MarketInstance, contract: Contract) -> None:
+    print("contract menu:")
+    print(f"  {'valuation':>12} {'capacity':>12} {'repurchase':>12} "
+          f"{'payment':>12} {'utility':>12}")
+    for row in menu_rows_reference(instance, contract):
+        print(
+            f"  {row['valuation']:>12.6g} {row['capacity']:>12.6g} "
+            f"{row['repurchase']:>12.6g} {row['payment']:>12.6g} "
+            f"{row['client_utility']:>12.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buyback import ValidationError
-from buyback.cli import _build_parser, _matrix, main
-from helpers import matrix_reference
+from buyback import Contract, SolveMethod, SolveResult, ValidationError
+from buyback import cli as cli_mod
+from buyback.cli import _build_parser, _matrix, main, parse_instance, solve_report
+from buyback.feasibility import AUDIT_TOL
+from helpers import (
+    matrix_reference,
+    menu_rows_reference,
+    print_menu_reference,
+    random_instance,
+    write_out_reference,
+)
 
 INSTANCE_L1 = {
     "valuations": [1.0, 2.0],
@@ -411,3 +419,54 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, tol):
     contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
     code, out, err = _in_process(capsys, "verify", inst, contract, "--tol", tol)
     assert (code, out) == (2, "") and "--tol" in err
+
+
+def instance_doc(instance) -> dict:
+    return {
+        "valuations": instance.grid.valuations.tolist(),
+        "capacities": instance.grid.capacities.tolist(),
+        "clients": [{"probs": c.probs.tolist()} for c in instance.clients],
+        "alpha": instance.alpha,
+        "penalty_M": instance.penalty,
+        "demand_floor_D": instance.demand_floor,
+    }
+
+
+def assert_report_bytes(tmp_path, capsys, argv, instance, solve):
+    """Run one command and compare its --out bytes and its menu on stdout with
+    the rendering that priced every menu item with client_utility."""
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    result = solve(instance)
+    report = solve_report(instance, result, AUDIT_TOL)
+    report["menu"] = menu_rows_reference(instance, result.contract)
+    ref = tmp_path / "ref.json"
+    write_out_reference(report, str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+    print_menu_reference(instance, result.contract)
+    menu = capsys.readouterr().out
+    assert printed.startswith(menu)
+    assert printed.count("\n") == menu.count("\n") + (3 if argv[0] == "solve" else 2)
+
+
+def test_solve_and_oracle_bytes_match_reference_rendering(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(83)
+    for i in range(12):
+        instance = random_instance(rng, max_k=4, max_l=3, integer=i % 2 == 0)
+        path = write_json(tmp_path / "inst.json", instance_doc(instance))
+        single = instance.grid.num_capacities == 1
+        solve = cli_mod.solve_single_capacity if single else cli_mod.solve_multi_reduced
+        assert_report_bytes(tmp_path, capsys, ["solve", path], instance, solve)
+        assert_report_bytes(
+            tmp_path, capsys, ["oracle", path, "--grid-step", "0.5"], instance,
+            lambda inst: cli_mod.oracle_grid_search(inst, 0.5),
+        )
+    # a menu holding -0.0 as repurchase, payment and client utility
+    instance, _, _ = parse_instance(INSTANCE_L2)
+    contract = Contract([[0.0, 0.0], [-0.0, 0.0]], [[-0.0, 0.0], [-0.0, -0.0]])
+    result = SolveResult(contract, 0.0, SolveMethod.MULTI_REDUCED_EXACT, 0.0, -0.0, {})
+    monkeypatch.setattr(cli_mod, "solve_multi_reduced", lambda inst: result)
+    path = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    assert_report_bytes(tmp_path, capsys, ["solve", path], instance, lambda inst: result)
+    assert '"client_utility": -0.0' in (tmp_path / "out.json").read_text()

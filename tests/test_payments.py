@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from buyback import (
     optimal_payment_multi,
     optimal_payment_single,
 )
-from helpers import greedy_allocation, random_grid, random_monotone_y
+from helpers import (
+    column_payments_reference,
+    greedy_allocation,
+    optimal_payment_multi_reference,
+    random_grid,
+    random_monotone_y,
+)
 
 
 def closed_form_column(v, x):
@@ -105,8 +113,11 @@ def test_multi_two_by_two_audit_clean():
 def test_multi_rejects_capacity_monotonicity_violation():
     # a row that shrinks at the larger capacity is not resource greedy
     grid = TypeGrid([1.0, 2.0], [5.0, 10.0])
-    with pytest.raises(PreconditionError, match="P6"):
-        optimal_payment_multi(grid, [[5.0, 10.0], [5.0, 4.0]])
+    x = [[5.0, 10.0], [5.0, 4.0]]
+    with pytest.raises(PreconditionError, match="P6") as raised:
+        optimal_payment_multi(grid, x)
+    assert str(raised.value) == priced_or_message(optimal_payment_multi_reference, grid, x)
+    assert "capacity monotonicity) in row k=1" in str(raised.value)
 
 
 def test_multi_rejects_p1_and_p2():
@@ -165,3 +176,80 @@ def test_payment_minimality_single_entry_perturbations():
                         continue
                     report = check_theorem1(grid, Contract(x, lowered), tol=1e-6)
                     assert not (report.ic_full and report.ir)
+
+
+def priced_or_message(pay, *args):
+    try:
+        return pay(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # -0.0 included
+
+
+def test_multi_matches_reference_bitwise():
+    # payments, sub-tol clamps and -0.0 entries bit for bit, and every P1,
+    # P2 and P6 message word for word on allocations holding several
+    # violations, against the pair loop and one recursion per column
+    rng = np.random.default_rng(71)
+    seen = Counter()
+    for i in range(2000):
+        grid = random_grid(rng, max_k=6, max_l=6)
+        x = greedy_allocation(grid, random_monotone_y(rng, grid))
+        K, L = x.shape
+        kind = i % 5
+        if kind == 1:  # noise within, at and just past the tolerance
+            x = x + rng.choice([-1.0, 0.0, 1.0], x.shape) * rng.choice(
+                [1e-10, 5e-10, 1e-9, 2e-9], x.shape
+            )
+        elif kind == 2:
+            for _ in range(int(rng.integers(2, 5))):
+                x[rng.integers(K), rng.integers(L)] += rng.choice([-1.0, 1.0]) * rng.choice(
+                    [1e-8, 0.1, 1.0]
+                )
+        elif kind == 3:
+            x[rng.random(x.shape) < 0.3] = -0.0
+            if i % 2:  # NaN passes every check and must hide no violation
+                x[rng.integers(K), rng.integers(L)] = np.nan
+                x[rng.integers(K), rng.integers(L)] += rng.choice([-1.0, 1.0])
+        elif kind == 4:  # shuffled columns or rows break P6 and P2 in many places
+            x = x[:, rng.permutation(L)] if i % 2 else x[rng.permutation(K)]
+        tol = (1e-9, 0.0, 1e-6)[i % 3]
+        ref = priced_or_message(optimal_payment_multi_reference, grid, x, tol)
+        assert_same_outcome(priced_or_message(optimal_payment_multi, grid, x, tol), ref)
+        seen["priced" if not isinstance(ref, str) else ref.split(" at ")[0].split(" in ")[0]] += 1
+    assert seen["priced"] >= 500
+    for key in ("P1 violated", "P2 violated", "P6 violated (capacity monotonicity)",
+                "P6 violated (maximal recycling)"):
+        assert seen[key] >= 50, seen
+
+
+def test_multi_capacity_message_where_column_rounding_differs():
+    # x - c <= tol passes P1, but x > c + tol fails the column's own check:
+    # the message is the column's, as when the columns were priced one by one
+    grid = TypeGrid([1.0, 2.0], [7.629554372333164])
+    x = [[48.34711509793399], [1.0]]
+    tol = 40.71756072560082
+    ref = priced_or_message(optimal_payment_multi_reference, grid, x, tol)
+    assert ref.startswith("allocation exceeds capacity at k=0")
+    assert priced_or_message(optimal_payment_multi, grid, x, tol) == ref
+
+
+def test_column_payments_match_reference_bitwise():
+    rng = np.random.default_rng(73)
+    for i in range(1000):
+        grid = random_grid(rng, max_k=6, l=1)
+        cap = float(grid.capacities[0])
+        x = greedy_allocation(grid, random_monotone_y(rng, grid))[:, 0]
+        x = x + rng.choice([-1.0, 0.0, 1.0], x.shape) * rng.choice([1e-10, 1e-9, 1e-3], x.shape)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        tol = (1e-9, 0.0, 1e-6)[i % 3]
+        ref = priced_or_message(column_payments_reference, grid.valuations, x, cap, tol)
+        got = priced_or_message(column_payments, grid.valuations, x, cap, tol)
+        assert_same_outcome(got, ref)

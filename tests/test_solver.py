@@ -28,19 +28,27 @@ from buyback import (
 )
 from buyback import solver
 from helpers import (
+    dp_inputs,
+    exact_dp_draw,
     exact_objective,
+    level_fronts_reference,
     oracle_grid_search_reference,
+    penalty_candidates_reference,
     random_instance,
     representable_as_min_form,
     row_products_ok_reference,
     satisfies_greedy_and_feasible,
     solve_reduced_enumeration,
+    theta_kept_blocks_reference,
 )
 from buyback.solver import (
+    _crossing_screen,
     _expected_supply,
     _feasible_start,
+    _level_fronts,
     _move_ok,
     _pattern_search,
+    _penalty_candidates,
     _reduced_coefficients,
 )
 
@@ -412,6 +420,98 @@ def test_exact_matches_enumeration():
         crossing_wins += not np.all(np.isin(ref.contract.allocation[:, -1], levels))
     assert penalised >= 100
     assert crossing_wins >= 10  # grid vertices alone would miss these optima
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_exact_dp_matches_reference_bitwise():
+    # fronts (g, s, levels, dtype, order, point count), grid levels,
+    # crossings and crossing pairs against one Pareto sort per (row, level)
+    # and the two-sum block loop, over tie-heavy integer grids, point masses,
+    # zero-weight capacities, K = 1 and L = 1
+    rng = np.random.default_rng(211)
+    crossings = single_row = single_capacity = 0
+    for i in range(1000):
+        inst = exact_dp_draw(rng, i)
+        gain, mass, coef, w, caps, G, X = dp_inputs(inst)
+        K, L = coef.shape
+        single_row += K == 1
+        single_capacity += L == 1
+        for rows, suffix in ((range(K - 1, -1, -1), True), (range(K - 1), False)):
+            start = int(rng.integers(0, 100))
+            got, points = _level_fronts(gain, mass, rows, suffix, start)
+            ref, ref_points = level_fronts_reference(gain, mass, rows, suffix, start)
+            assert points == ref_points
+            assert len(got) == len(ref)
+            for got_row, ref_row in zip(got, ref):
+                assert len(got_row) == len(ref_row)
+                for got_front, ref_front in zip(got_row, ref_row):
+                    if ref_front is None:
+                        assert got_front is None
+                    else:
+                        assert all(map(same_bits, got_front, ref_front))
+        got = _penalty_candidates(gain, mass, coef, w, caps, G, X, inst.demand_floor)
+        ref = penalty_candidates_reference(gain, mass, coef, w, caps, G, X, inst.demand_floor)
+        assert same_bits(got[0], ref[0])
+        assert got[2:] == ref[2:]  # front points and crossing pairs
+        assert len(got[1]) == len(ref[1])
+        assert all(map(same_bits, got[1], ref[1]))
+        crossings += len(ref[1])
+    assert crossings >= 1000 and single_row >= 100 and single_capacity >= 100
+
+
+def test_crossing_screen_keeps_every_block_the_exact_checks_keep(monkeypatch):
+    # tiny, subnormal and uneven weights, with the floor put on a segment edge
+    # of one block's theta range (nudged by a few ulps), where the screen's
+    # sums and the exact ones round apart; the screen gives the same blocks
+    # when it takes one block start a at a time
+    rng = np.random.default_rng(223)
+    scales = np.array([0.0, 5e-324, 1e-300, 1e-17, 1e-8, 1.0, 3.7])
+    kept_total = 0
+    for i in range(1000):
+        K, L = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        w = rng.choice(scales, (L, K)) * rng.uniform(0.5, 2.0, (L, K))
+        w[rng.integers(L), rng.integers(K)] = rng.choice(scales[1:])
+        caps = np.cumsum(rng.uniform(0.1, 3.0, L))
+        G = np.concatenate([[0.0], caps])
+        X = np.minimum(caps[:, None], G[None, :])
+        gain = rng.integers(-2, 3, (K, L + 1)).astype(float)
+        mass = w.T @ X
+        suffix, _ = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
+        suffix.reverse()
+        prefix, _ = _level_fronts(gain, mass, range(K - 1), False, 0)
+        live = [
+            (a, b, m)
+            for a in range(K)
+            for b in range(a, K)
+            for m in range(L)
+            if np.sum(w[m:, a : b + 1]) > 0.0
+        ]
+        a, b, m = live[rng.integers(len(live))]
+        slope = float(np.sum(w[m:, a : b + 1]))
+        const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
+        sP, sQ = prefix[a][m + 1][1], suffix[b + 1][m][1]
+        if i % 2:
+            D = float(sP[0] + sQ[0]) + const + slope * (G[m] - 1e-12)
+        else:
+            D = float(sP[-1] + sQ[-1]) + const + slope * (G[m + 1] + 1e-12)
+        D *= 1.0 + int(rng.integers(-4, 5)) * np.finfo(float).eps
+        with np.errstate(over="ignore"):  # subnormal slopes send theta to inf
+            kept = theta_kept_blocks_reference(w, caps, G, D, prefix, suffix)
+        before = [prefix[a][1:] for a in range(K)]
+        after = [suffix[b + 1][:L] for b in range(K)]
+        screened = _crossing_screen(w, caps, G, D, before, after)
+        assert set(kept) <= set(screened)
+        assert screened == sorted(screened)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_SCREEN_BLOCK", 1)
+            assert _crossing_screen(w, caps, G, D, before, after) == screened
+        kept_total += len(kept)
+    assert kept_total >= 1000
 
 
 def test_reduced_form_equivalence_sample():
