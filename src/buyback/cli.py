@@ -139,12 +139,15 @@ def parse_instance(doc) -> tuple[MarketInstance, float | None, int | None]:
         demand_floor=_number(doc["demand_floor_D"], "demand_floor_D"),
     )
     epsilon = _number(doc["epsilon"], "epsilon") if "epsilon" in doc else None
-    seed = None
-    if "seed" in doc:
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValidationError(f"'seed' must be an integer, got {seed!r}")
+    seed = _check_seed(doc["seed"], "'seed'") if "seed" in doc else None
     return instance, epsilon, seed
+
+
+def _check_seed(seed, name: str) -> int:
+    """A seed is an integer in [0, 2**64), the range SimulationConfig takes."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValidationError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def parse_contract(doc, grid: TypeGrid) -> Contract:
@@ -260,9 +263,8 @@ def _print_audit(report: AuditReport) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance, file_epsilon, file_seed = parse_instance(_load_json(args.instance))
+    instance, file_epsilon, _ = parse_instance(_load_json(args.instance))
     epsilon = args.epsilon if args.epsilon is not None else file_epsilon
-    seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     method = args.method
     if method == "auto":
         method = "single" if instance.grid.num_capacities == 1 else "reduced"
@@ -272,10 +274,7 @@ def cmd_solve(args) -> int:
         result = solve_multi_reduced(instance)
     elif method == "relaxed":
         result = solve_multi_relaxed(
-            instance,
-            epsilon=epsilon if epsilon is not None else DEFAULT_EPSILON,
-            restarts=args.restarts,
-            seed=seed,
+            instance, epsilon=epsilon if epsilon is not None else DEFAULT_EPSILON
         )
     else:
         raise ValidationError(f"unknown method '{method}'")
@@ -362,6 +361,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    try:
+        return _check_seed(int(text), "seed")
+    except (ValueError, ValidationError):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, 2**64), got {text!r}"
+        ) from None
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -391,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--epsilon", type=float, default=None,
                          help="relaxation tolerance (relaxed method)")
-    p_solve.add_argument("--restarts", type=int, default=4)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=_seed, default=None,
+                         help="accepted for compatibility; every solve method is deterministic")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -408,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("instance")
     p_sim.add_argument("contract")
     p_sim.add_argument("--replications", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.add_argument(
         "--tie-break", choices=("truthful_first", "max_payment"), default="truthful_first"
     )

@@ -26,11 +26,12 @@ Three solving routes live here:
 
 * ``solve_single_capacity`` / ``solve_multi_reduced`` — exact, via the
   reduced-form DP above (epsilon = 0, complementarity exact);
-* ``solve_multi_relaxed`` — multi-start pattern search over the full K*L
+* ``solve_multi_relaxed`` — a descent from the exact menu over the full K*L
   allocation with the bilinear greediness constraint relaxed to
-  (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for l < l'; it moves whole
-  rows along min(c, y), where every product is 0, and single entries, each
-  checked only against its products with the row's last entry;
+  (x[k,l'] - x[k,l]) * (c[l] - x[k,l]) <= epsilon for l < l'; each move
+  re-sets one whole row in closed form from its last entry y (every other
+  entry at its epsilon root or at min(c, y)) and tries only the finitely
+  many y at which the row's objective can peak;
 * ``oracle_grid_search`` — an independent brute force over a fine lattice of
   reduced allocations, evaluating payments and expected utility from their
   definitions rather than through the coefficient form.  The closed-form
@@ -89,7 +90,8 @@ class SolveResult:
     instance; ``aux_t`` is the linearization variable min(0, supply - D);
     ``epsilon`` is 0 for exact methods.  ``diagnostics`` carries counts:
     candidates re-scored, DP front points and crossing pairs for the exact
-    methods, starts, iterations and capped starts for the relaxed one.
+    methods; passes, moves and whether the descent converged for the
+    relaxed one.
     """
 
     contract: Contract
@@ -397,10 +399,17 @@ def _pwl_crossing_values(seg_weights: np.ndarray, caps: np.ndarray, target: floa
 
 
 def _oracle_axis(instance: MarketInstance, grid_step: float, w: np.ndarray) -> np.ndarray:
+    """The sorted distinct lattice values: steps up to c_max, capacities and crossings.
+
+    The steps are already sorted and the other values, all in [0, c_max], are
+    few, so these are sorted alone and merged in, each after the steps it
+    equals, and the first of every run of equal values stays.
+    """
     caps = instance.grid.capacities
     cmax = float(caps[-1])
     steps = np.arange(0.0, cmax + grid_step * 0.5, grid_step)
-    values = [steps, caps]
+    steps = steps[: np.searchsorted(steps, cmax + 1e-12, side="right")]
+    values = [caps]
     if instance.penalty > 0.0 and instance.demand_floor > 0.0:
         D = instance.demand_floor
         K = instance.grid.num_valuations
@@ -412,8 +421,9 @@ def _oracle_axis(instance: MarketInstance, grid_step: float, w: np.ndarray) -> n
             extra += _pwl_crossing_values(w[:, k], caps, D - (float(np.sum(full)) - full[k]))
         if extra:
             values.append(np.array(extra))
-    axis = np.unique(np.concatenate(values))
-    return axis[(axis >= 0.0) & (axis <= cmax + 1e-12)]
+    others = np.sort(np.concatenate(values))
+    axis = np.insert(steps, np.searchsorted(steps, others, side="right"), others)
+    return axis[np.concatenate([[True], axis[1:] != axis[:-1]])]
 
 
 def _menu_columns(Y: np.ndarray, caps: np.ndarray, v: np.ndarray):
@@ -523,147 +533,131 @@ def oracle_grid_search(instance: MarketInstance, grid_step: float) -> SolveResul
 # ---------------------------------------------------------------------------
 
 
-#: Moves one start may try (checked once per sweep), and the step at which
-#: it stops: a start that ends with its step above _MIN_STEP hit the cap.
-_MAX_ITERATIONS = 100_000
-_MIN_STEP = 1e-10
+#: Passes over the rows the descent may make; a pass that moves no row ends it.
+_MAX_PASSES = 100
 
 
-def _move_ok(row: list, l: int, cand: float, caps: list, epsilon: float) -> bool:
-    """Whether every relaxed product of ``row`` holds once row[l] becomes cand.
+def _rows_at(Y, d, lo, hi, caps, epsilon):
+    """Rows with last entries Y, the other entries set by the direction d.
 
-    ``row`` passes, and stays non-decreasing and within capacity with cand.
-    Then entry j's largest product pairs it with the last entry, and rounding
-    is monotone, so one product (L-1 for the last entry) decides, bit for bit.
+    An entry with d < 0 sits at its root, the least x >= 0 with (y - x)(c - x)
+    <= epsilon: min(c, y) - 2 epsilon / (g + sqrt(g^2 + 4 epsilon)), g = |y - c|,
+    raised by ulp(max(c, y)) until the rounded product passes (a step or two).
+    Any other entry sits at min(c, y).  Entries are clipped into [lo, hi], the
+    neighbouring rows, and raised to the row's running maximum.
     """
-    if l + 1 < len(row):
-        return (row[-1] - cand) * (caps[l] - cand) <= epsilon
-    return all((cand - a) * (c - a) <= epsilon for a, c in zip(row, caps[:-1]))
+    y, c = Y[:, None], caps[:-1]
+    top, gap = np.minimum(c, y), np.abs(y - c)
+    root = np.maximum(top - 2.0 * epsilon / (gap + np.sqrt(gap * gap + 4.0 * epsilon)), 0.0)
+    while np.any(over := (y - root) * (c - root) > epsilon):
+        root = np.where(over, np.minimum(root + np.spacing(np.maximum(y, c)), top), root)
+    x = np.where(d[:-1] < 0.0, root, top)
+    x = np.maximum.accumulate(np.minimum(np.maximum(x, lo[:-1]), hi[:-1]), axis=1)
+    return np.hstack([x, y])
 
 
-def _pattern_search(x0, coef, w, caps, penalty, demand_floor, epsilon):
-    """Feasible pattern search with step halving; returns x, objective, supply, moves, capped.
+def _last_entries(y, d, lo, hi, caps, epsilon):
+    """The last entries worth trying for one row, sorted.
 
-    A sweep tries each row whole at min(c, y +- step), y its last entry, then
-    each entry alone.  Entry moves are clipped into the box the neighbours
-    allow and row moves that break the column order are rejected, so rows
-    stay non-decreasing and within capacity, as ``_move_ok`` requires.
+    Between breakpoints the row's objective is convex in y (a root is
+    concave in y and rooted entries have d < 0), so its best y is an
+    interval end, the current y, a kink at a bound b, or a y where a root
+    meets b: y = b + epsilon / (c - b).
     """
-    K, L = x0.shape
-    x = x0.tolist()
-    coef_l = coef.tolist()
-    wkl = w.T.tolist()  # wkl[k][l]
-    caps_l = caps.tolist()
+    b = np.concatenate([lo[:-1], hi[:-1], caps[:-1]])
+    gap = caps[:-1][d[:-1] < 0.0] - b[:, None]
+    meets = b[:, None] + epsilon / np.where(gap > 0.0, gap, np.nan)
+    Y = np.concatenate([[lo[-1], hi[-1], y], b, meets.ravel()])
+    return np.unique(Y[(Y >= lo[-1]) & (Y <= hi[-1])])
 
-    lin = sum(coef_l[k][l] * x[k][l] for k in range(K) for l in range(L))
-    supply = sum(wkl[k][l] * x[k][l] for k in range(K) for l in range(L))
-    obj = lin + penalty * min(0.0, supply - demand_floor)
 
-    step = caps_l[-1] / 4.0
-    iters = 0
-    while step >= _MIN_STEP and iters < _MAX_ITERATIONS:
-        improved = False
+def _supply_crossing(X, w, target, d, *bounds):
+    """Rows at the adjacent floats of y either side of where the supply X @ w reaches target.
+
+    X holds ``_rows_at`` rows in increasing y, and supply rises with y, so
+    the bracket narrows 65-fold per step, 64 rows at a time.
+    """
+    hit = X @ w >= target
+    if hit[0] or not hit[-1]:
+        return X[:0]
+    i = int(np.argmax(hit))
+    a, b = X[i - 1, -1], X[i, -1]
+    while (Y := np.linspace(a, b, 66)[1:-1])[(Y > a) & (Y < b)].size:
+        hit = _rows_at(Y, d, *bounds) @ w >= target
+        j = int(np.argmax(hit)) if hit.any() else Y.size
+        a, b = (Y[j - 1] if j > 0 else a), (Y[j] if j < Y.size else b)
+    return _rows_at(np.array([a, b]), d, *bounds)
+
+
+def _directions(coef, w, M, D):
+    """One row's directions coef + t*w, one per sign pattern over t in [0, M].
+
+    Above the demand floor the objective moves along coef, below it along
+    coef + M*w, and at it along coef + t*w, t the floor's multiplier; signs
+    change only where t passes some -coef[l] / w[l].
+    """
+    if M * D <= 0.0:
+        return [coef]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flips = -coef / w
+    return [coef + t * w for t in np.unique([0.0, M, *flips[(flips > 0.0) & (flips < M)]])]
+
+
+def _rows_ok(X, caps, epsilon):
+    """The relaxed row check: each entry's product with its row's last entry <= epsilon.
+
+    Rows are non-decreasing and within capacity, so that product is an
+    entry's largest and, rounding being monotone, it decides the pairwise
+    constraint (x[l'] - x[l]) * (c[l] - x[l]) <= epsilon bit for bit.
+    """
+    return np.all((X[:, -1:] - X[:, :-1]) * (caps[:-1] - X[:, :-1]) <= epsilon, axis=1)
+
+
+def _descent(x, coef, wk, caps, M, D, epsilon):
+    """Row moves from x until a pass raises the objective by no more than 1e-12.
+
+    A move re-sets one row as a function of its last entry y (``_rows_at``),
+    in every direction of ``_directions``, at every y of ``_last_entries``
+    and, when M * D > 0, either side of the y where total supply reaches D.
+    The best row that passes ``_rows_ok`` is kept if it improves.  Returns
+    x, passes, moves and whether the last pass moved nothing.
+    """
+    K, L = x.shape
+    row_lin, row_s = np.sum(coef * x, axis=1), np.sum(wk * x, axis=1)
+    passes = moves = 0
+    converged = False
+    while not converged and passes < _MAX_PASSES:
+        passes += 1
+        converged = True
         for k in range(K):
-            above = x[k - 1] if k > 0 else caps_l
-            below = x[k + 1] if k + 1 < K else [0.0] * L
-            for delta in (step, -step):
-                iters += 1
-                row = x[k]
-                y = max(row[-1] + delta, 0.0)
-                cand = [min(c, y) for c in caps_l]
-                if cand == row or any(not a <= b <= c for a, b, c in zip(below, cand, above)):
-                    continue
-                d_lin = sum(cf * (b - a) for cf, a, b in zip(coef_l[k], row, cand))
-                d_supply = sum(wt * (b - a) for wt, a, b in zip(wkl[k], row, cand))
-                new_obj = lin + d_lin + penalty * min(0.0, supply + d_supply - demand_floor)
-                if new_obj > obj + 1e-12:
-                    x[k] = cand
-                    lin, supply, obj = lin + d_lin, supply + d_supply, new_obj
-                    improved = True
-            row = x[k]
-            for l in range(L):
-                for delta in (step, -step):
-                    iters += 1
-                    old = row[l]
-                    hi = min(caps_l[l], above[l], row[l + 1] if l + 1 < L else math.inf)
-                    lo = max(below[l], row[l - 1] if l > 0 else 0.0)
-                    cand = min(max(old + delta, lo), hi)
-                    if cand == old or not _move_ok(row, l, cand, caps_l, epsilon):
-                        continue
-                    d = cand - old
-                    new_lin = lin + coef_l[k][l] * d
-                    new_supply = supply + wkl[k][l] * d
-                    new_obj = new_lin + penalty * min(0.0, new_supply - demand_floor)
-                    if new_obj > obj + 1e-12:
-                        row[l] = cand
-                        lin, supply, obj = new_lin, new_supply, new_obj
-                        improved = True
-        if not improved:
-            step *= 0.5
-
-    x = np.array(x)
-    supply = _expected_supply(w, x)
-    obj = float(np.sum(coef * x)) + penalty * min(0.0, supply - demand_floor)
-    return x, obj, supply, iters, step >= _MIN_STEP
+            bounds = (x[k + 1] if k + 1 < K else np.zeros(L), x[k - 1] if k > 0 else caps,
+                      caps, epsilon)
+            others = np.arange(K) != k
+            base_lin, base_s = float(np.sum(row_lin[others])), float(np.sum(row_s[others]))
+            rows = []
+            for d in _directions(coef[k], wk[k], M, D):
+                rows.append(_rows_at(_last_entries(x[k, -1], d, *bounds), d, *bounds))
+                if M * D > 0.0:
+                    rows.append(_supply_crossing(rows[-1], wk[k], D - base_s, d, *bounds))
+            X = np.vstack(rows)
+            lin, s = X @ coef[k], X @ wk[k]
+            obj = base_lin + lin + M * np.minimum(0.0, base_s + s - D)
+            ok = _rows_ok(X, caps, epsilon)
+            i = int(np.argmax(np.where(ok, obj, -np.inf)))
+            now = base_lin + row_lin[k] + M * min(0.0, base_s + row_s[k] - D)
+            if ok[i] and obj[i] > now + 1e-12:
+                x[k], row_lin[k], row_s[k] = X[i], lin[i], s[i]
+                moves += 1
+                converged = False
+    return x, passes, moves, converged
 
 
-def _feasible_start(x: np.ndarray, caps: np.ndarray, epsilon: float) -> np.ndarray:
-    """Repair a carried menu, non-decreasing and within capacity, for a new epsilon.
-
-    A row passes when each entry's product with its last entry does; failing
-    rows snap back to min(c, y) form, and if that breaks the cross-row order
-    the whole matrix is rebuilt from its reduced form (products all zero).
-    """
-    out = x.copy()
-    bad = np.any((x[:, -1:] - x[:, :-1]) * (caps[:-1] - x[:, :-1]) > epsilon, axis=1)
-    out[bad] = np.minimum(caps[None, :], x[bad, -1:])
-    if out.shape[0] > 1 and np.any(np.diff(out, axis=0) > 0):
-        y = np.minimum.accumulate(x[:, -1])
-        out = np.minimum(caps[None, :], y[:, None])
-    return out
-
-
-def _solve_relaxed(
-    instance: MarketInstance,
-    epsilon: float,
-    restarts: int,
-    seed: int,
-    warm: np.ndarray,
-    extra_starts: tuple[np.ndarray, ...] = (),
-) -> SolveResult:
-    grid = instance.grid
-    K, L = grid.num_valuations, grid.num_capacities
-    caps = grid.capacities
-    coef, w = _reduced_coefficients(instance)
-    M, D = instance.penalty, instance.demand_floor
-
-    starts = [warm, np.zeros((K, L))]
-    starts.extend(_feasible_start(x, caps, epsilon) for x in extra_starts)
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        y = np.sort(rng.uniform(0.0, float(caps[-1]), K))[::-1]
-        starts.append(np.minimum(caps[None, :], y[:, None]))
-
-    runs = [_pattern_search(x0, coef, w, caps, M, D, epsilon) for x0 in starts]
-    x, _, supply, _, _ = max(runs, key=lambda run: (run[1], run[2], tuple(run[0].ravel())))
-    p = np.empty_like(x)
-    for l in range(L):
-        p[:, l] = column_payments(grid.valuations, x[:, l], float(caps[l]))
-    contract = Contract(x, p)
-    return SolveResult(
-        contract=contract,
-        expected_utility=provider_expected_utility(instance, contract),
-        method=SolveMethod.MULTI_RELAXED,
-        epsilon=epsilon,
-        aux_t=min(0.0, supply - D),
-        diagnostics={
-            "starts": len(starts),
-            "iterations": sum(run[3] for run in runs),
-            "capped_starts": sum(run[4] for run in runs),
-            "restarts": restarts,
-            "seed": seed,
-        },
-    )
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:
+        raise ValidationError(
+            f"epsilon = {epsilon} must be positive and finite; use solve_multi_reduced "
+            "for the exact complementarity program"
+        )
 
 
 def solve_multi_relaxed(
@@ -672,26 +666,38 @@ def solve_multi_relaxed(
     restarts: int = 4,
     seed: int = 0,
 ) -> SolveResult:
-    """Multi-start local search on the epsilon-relaxed complementarity program.
+    """Descent on the epsilon-relaxed complementarity program from the exact menu.
 
-    Starts from the reduced-exact solution, the zero contract, and
-    ``restarts`` random reduced allocations; every iterate stays feasible for
-    the relaxed program, so the returned contract's misreport regret is at
-    most regret_bound(grid, epsilon).  Each sweep moves every row whole along
-    min(c, y), then each entry alone; a start stops at step 1e-10, or after
-    100,000 moves as counted in ``diagnostics["capped_starts"]``.
+    The relaxed program bounds every entry's product with its row's last
+    entry, (y - x[k,l]) * (c[l] - x[k,l]) <= epsilon, and every iterate
+    meets it, so the returned contract's misreport regret is at most
+    regret_bound(grid, epsilon).  Starting from ``solve_multi_reduced``'s
+    menu, whole rows move to closed-form bounds (``_descent``) until a pass
+    improves nothing, or after _MAX_PASSES passes; ``diagnostics`` counts
+    the passes and moves and says whether it converged.  The search is
+    deterministic: ``restarts`` (>= 1) and ``seed`` are accepted for
+    compatibility and change nothing.
     """
-    if not epsilon < math.inf:
-        raise ValidationError(f"epsilon = {epsilon} must be finite")
-    if epsilon <= 0.0:
-        raise ValidationError(
-            f"epsilon = {epsilon} must be positive; use solve_multi_reduced for the "
-            "exact complementarity program"
-        )
+    _check_epsilon(epsilon)
     if restarts < 1:
         raise ValidationError(f"restarts = {restarts} must be >= 1")
-    warm = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation
-    return _solve_relaxed(instance, epsilon, restarts, seed, warm)
+    caps = instance.grid.capacities
+    coef, w = _reduced_coefficients(instance)
+    M, D = instance.penalty, instance.demand_floor
+    x = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation.copy()
+    x, passes, moves, converged = _descent(x, coef, w.T, caps, M, D, epsilon)
+    p = np.empty_like(x)
+    for l in range(caps.size):
+        p[:, l] = column_payments(instance.grid.valuations, x[:, l], float(caps[l]))
+    contract = Contract(x, p)
+    return SolveResult(
+        contract=contract,
+        expected_utility=provider_expected_utility(instance, contract),
+        method=SolveMethod.MULTI_RELAXED,
+        epsilon=epsilon,
+        aux_t=min(0.0, _expected_supply(w, x) - D),
+        diagnostics={"passes": passes, "moves": moves, "converged": converged},
+    )
 
 
 def relaxed_schedule(
@@ -700,21 +706,14 @@ def relaxed_schedule(
     restarts: int = 4,
     seed: int = 0,
 ) -> SolveResult:
-    """Warm-started decreasing-epsilon sweep for hard instances.
+    """``solve_multi_relaxed`` at the last of a decreasing-epsilon schedule.
 
-    Each stage seeds the next with its solution (rows projected back to the
-    greedy form where the tighter epsilon would reject them); the result is
-    the final, smallest-epsilon solve.  Every stage shares one reduced-exact
-    warm start.
+    Every epsilon is validated.  The descent starts from the exact menu at
+    any epsilon, so the earlier stages have nothing to hand on; ``restarts``
+    and ``seed`` are accepted and change nothing.
     """
     if not epsilons:
         raise ValidationError("epsilons must be non-empty")
     for eps in epsilons:
-        if not 0.0 < eps < math.inf:
-            raise ValidationError(f"epsilon = {eps} must be positive and finite")
-    warm = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation
-    carried: tuple[np.ndarray, ...] = ()
-    for eps in epsilons:
-        result = _solve_relaxed(instance, eps, restarts, seed, warm, extra_starts=carried)
-        carried = (result.contract.allocation,)
-    return result
+        _check_epsilon(eps)
+    return solve_multi_relaxed(instance, epsilons[-1], restarts, seed)

@@ -38,7 +38,7 @@ from buyback.solver import (
     _best_by_key,
     _expected_supply,
     _menu_columns,
-    _oracle_axis,
+    _pwl_crossing_values,
     _reduced_coefficients,
 )
 
@@ -899,7 +899,7 @@ def matrix_reference(value, key: str, rows: int, cols: int) -> np.ndarray:
 def row_products_ok_reference(row: list, caps: np.ndarray, epsilon: float) -> bool:
     """The relaxed row constraint, every pair scanned: for all l1 < l2,
     (x[l2] - x[l1]) * (c[l1] - x[l1]) <= epsilon.  The solver checks one
-    product per move instead (``solver._move_ok``)."""
+    product per entry instead (``solver._rows_ok``)."""
     L = len(row)
     for l1 in range(L - 1):
         slack = float(caps[l1]) - row[l1]
@@ -947,6 +947,27 @@ def _monotone_chunks(axis: np.ndarray, K: int, chunk: int = _EVAL_CHUNK):
         yield np.array(batch)
 
 
+def oracle_axis_reference(instance: MarketInstance, grid_step: float, w: np.ndarray) -> np.ndarray:
+    """``solver._oracle_axis`` as first written: every value through one ``np.unique``."""
+    caps = instance.grid.capacities
+    cmax = float(caps[-1])
+    steps = np.arange(0.0, cmax + grid_step * 0.5, grid_step)
+    values = [steps, caps]
+    if instance.penalty > 0.0 and instance.demand_floor > 0.0:
+        D = instance.demand_floor
+        K = instance.grid.num_valuations
+        full = w.T @ caps  # supply contribution of each coordinate at full recycling
+        extra: list[float] = []
+        extra += _pwl_crossing_values(np.sum(w, axis=1), caps, D)  # all coords equal
+        for k in range(K):
+            extra += _pwl_crossing_values(w[:, k], caps, D)  # others idle
+            extra += _pwl_crossing_values(w[:, k], caps, D - (float(np.sum(full)) - full[k]))
+        if extra:
+            values.append(np.array(extra))
+    axis = np.unique(np.concatenate(values))
+    return axis[(axis >= 0.0) & (axis <= cmax + 1e-12)]
+
+
 def oracle_grid_search_reference(instance: MarketInstance, grid_step: float) -> SolveResult:
     """``oracle_grid_search`` as first written, the reference it must match.
 
@@ -966,7 +987,7 @@ def oracle_grid_search_reference(instance: MarketInstance, grid_step: float) -> 
     w = AggregateWeights.from_instance(instance).weights
     alpha, M, D = instance.alpha, instance.penalty, instance.demand_floor
 
-    axis = _oracle_axis(instance, grid_step, w)
+    axis = oracle_axis_reference(instance, grid_step, w)
     count = math.comb(axis.size + K - 1, K)
     if count > MAX_CANDIDATES:
         raise CandidateCountError(

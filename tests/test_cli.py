@@ -470,3 +470,35 @@ def test_solve_and_oracle_bytes_match_reference_rendering(tmp_path, capsys, monk
     path = write_json(tmp_path / "inst.json", INSTANCE_L2)
     assert_report_bytes(tmp_path, capsys, ["solve", path], instance, lambda inst: result)
     assert '"client_utility": -0.0' in (tmp_path / "out.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("seed", ["-3", str(2**64), "1.5", "x"])
+def test_seed_flag_outside_64_unsigned_bits_is_invalid_input(tmp_path, capsys, command, seed):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    args = ["solve", inst, "--method", "relaxed"] if command == "solve" else [
+        "simulate", inst, contract, "--replications", "10"]
+    code, out, err = _in_process(capsys, *args, "--seed", seed)
+    assert (code, out) == (2, "") and "--seed" in err and "[0, 2**64)" in err
+
+
+@pytest.mark.parametrize("seed", [-4, 2**64, True, 1.0, "7"])
+@pytest.mark.parametrize("command", ["solve", "verify", "simulate", "regret", "oracle"])
+def test_file_seed_outside_64_unsigned_bits_is_invalid_input(tmp_path, capsys, command, seed):
+    inst = write_json(tmp_path / "inst.json", {**INSTANCE_L2, "seed": seed})
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    args = {"solve": ["--method", "relaxed"], "oracle": ["--grid-step", "0.5"]}.get(command, [contract])
+    code, out, err = _in_process(capsys, command, inst, *args)
+    assert (code, out) == (2, "") and "'seed' must be an integer in [0, 2**64)" in err
+
+
+def test_seed_at_the_edges_of_64_unsigned_bits(tmp_path, capsys):
+    inst = write_json(tmp_path / "inst.json", {**INSTANCE_L2, "seed": 2**64 - 1})
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    code, out, _ = _in_process(capsys, "simulate", inst, contract, "--replications", "10")
+    assert code == 0 and f"seed {2**64 - 1}" in out
+    code, out, _ = _in_process(capsys, "simulate", inst, contract, "--replications", "10",
+                               "--seed", "0")
+    assert code == 0 and "seed 0" in out
+    assert _in_process(capsys, "solve", inst, "--method", "relaxed", "--seed", "0")[0] == 0

@@ -32,6 +32,7 @@ from helpers import (
     exact_dp_draw,
     exact_objective,
     level_fronts_reference,
+    oracle_axis_reference,
     oracle_grid_search_reference,
     penalty_candidates_reference,
     random_instance,
@@ -44,12 +45,12 @@ from helpers import (
 from buyback.solver import (
     _crossing_screen,
     _expected_supply,
-    _feasible_start,
     _level_fronts,
-    _move_ok,
-    _pattern_search,
+    _oracle_axis,
     _penalty_candidates,
     _reduced_coefficients,
+    _rows_at,
+    _rows_ok,
 )
 
 
@@ -304,6 +305,31 @@ def test_oracle_matches_reference():
         assert np.array_equal(got.contract.payment, ref.contract.payment), draw
         assert got.expected_utility == ref.expected_utility, draw
         assert got.aux_t == ref.aux_t, draw
+
+
+def test_oracle_axis_matches_unique_bitwise():
+    # the merged axis against one np.unique over every value, compared as
+    # bit patterns so that a -0.0 for 0.0 would show; ties: integer grids put
+    # capacities on steps, and a demand floor at the others' full supply puts
+    # a crossing at 0.0 and others at capacities
+    rng = np.random.default_rng(132)
+    zero_crossings = 0
+    for draw in range(400):
+        inst = random_instance(rng, max_k=4, max_l=4, integer=bool(rng.random() < 0.5),
+                               point_mass=bool(rng.random() < 0.3))
+        w = AggregateWeights.from_instance(inst).weights
+        if draw % 3 == 0:
+            full = w.T @ inst.grid.capacities
+            k = int(rng.integers(full.size))
+            demand = float(np.sum(full)) - full[k]
+            if demand > 0.0:
+                inst = MarketInstance(inst.grid, inst.clients, inst.alpha, 1.0, demand)
+                zero_crossings += 1
+        step = float(rng.choice([0.5, 0.25, 0.1, 0.3, 1.0, 1e-3]))
+        got = _oracle_axis(inst, step, w)
+        ref = oracle_axis_reference(inst, step, w)
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint64), ref.view(np.uint64)), draw
+    assert zero_crossings > 80
 
 
 def test_oracle_breaks_exact_ties_toward_the_lex_larger_y():
@@ -610,32 +636,31 @@ def test_relaxed_zero_weight_types_still_constrained():
     assert report.ir and report.resource_feasible
 
 
+def relaxed_objective(instance, x):
+    coef, w = _reduced_coefficients(instance)
+    return float(np.sum(coef * x)) + instance.penalty * min(
+        0.0, _expected_supply(w, x) - instance.demand_floor
+    )
+
+
 @pytest.mark.parametrize("draw, eps", [(1, 1e-4), (7, 1e-2)])
-def test_zero_start_reaches_the_exact_objective_without_crawling(draw, eps):
+def test_descent_converges_at_or_above_the_exact_objective(draw, eps):
     # Criterion 4's draws 1 (K = 1, L = 2) and 7 (3 x 3, demand floor in
-    # range): moved one entry at a time, the zero start climbed a tube of
-    # width about eps / gap and stopped at the move cap far below the exact
-    # objective (0.44 against 3.59 on draw 1)
+    # range): a search moving one entry at a time once climbed a tube of
+    # width about eps / gap here and stopped far below the exact objective
     rng = np.random.default_rng(20260804)
     inst = [random_instance(rng, max_n=2) for _ in range(draw + 1)][-1]
-    res = solve_multi_relaxed(inst, epsilon=eps, restarts=2, seed=draw)
-    assert res.diagnostics["capped_starts"] == 0
-
-    coef, w = _reduced_coefficients(inst)
-    M, D = inst.penalty, inst.demand_floor
+    res = solve_multi_relaxed(inst, epsilon=eps)
+    assert res.diagnostics["converged"]
     exact = solve_multi_reduced(inst).contract.allocation
-    exact_obj = float(np.sum(coef * exact)) + M * min(0.0, _expected_supply(w, exact) - D)
-    zero = np.zeros_like(exact)
-    _, obj, _, _, capped = _pattern_search(zero, coef, w, inst.grid.capacities, M, D, eps)
-    assert not capped
-    assert obj >= exact_obj - 1e-12
+    assert relaxed_objective(inst, res.contract.allocation) >= relaxed_objective(inst, exact) - 1e-12
 
 
 @pytest.mark.parametrize("penalised", [False, True])
 @pytest.mark.parametrize("eps", [1e-2, 1e-6])
 def test_relaxed_budget_10x10(eps, penalised):
-    # Budget: a 10 x 10 relaxed solve with 4 restarts finishes in under 1.5 s,
-    # every start stopped by the step floor, not by the move cap
+    # Budget: a 10 x 10 relaxed solve finishes in under 1.5 s, the descent
+    # stopped by a pass that moved nothing, not by the pass cap
     base = random_instance(np.random.default_rng(1), k=10, l=10, max_n=2)
     full = float(np.sum(AggregateWeights.from_instance(base).weights.T @ base.grid.capacities))
     penalty, demand = (2.0, 0.5 * full) if penalised else (0.0, 0.0)
@@ -644,9 +669,59 @@ def test_relaxed_budget_10x10(eps, penalised):
     res = solve_multi_relaxed(inst, epsilon=eps, restarts=4, seed=0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.5, f"{elapsed:.2f} s"
-    assert res.diagnostics["capped_starts"] == 0
+    assert res.diagnostics["converged"]
     assert res.expected_utility >= solve_multi_reduced(inst).expected_utility - 1e-12
     assert compute_regret(inst.grid, res.contract) <= regret_bound(inst.grid, eps) + 1e-12
+
+
+def test_relaxed_30x30_converges_within_a_second():
+    # A 30 x 30 draw at which a multi-start pattern search stopped 5 of its
+    # 6 starts at a 100,000-move cap
+    base = random_instance(np.random.default_rng(1), k=30, l=30, max_n=2)
+    inst = MarketInstance(base.grid, base.clients, base.alpha, 0.0, 0.0)
+    start = time.perf_counter()
+    res = solve_multi_relaxed(inst, epsilon=1e-4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert res.diagnostics["converged"]
+    assert res.diagnostics["passes"] < solver._MAX_PASSES
+    assert compute_regret(inst.grid, res.contract) <= regret_bound(inst.grid, 1e-4) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "seed, size, draw, reached",
+    [
+        # criterion 4's draw 3 (M * D = 0): the last entry must stop where
+        # a root meets a bound, y = b + eps / (c - b)
+        (20260804, 3, 3, 13.532930934231885),
+        # criterion 4's draw 6 (M = 3.30, D = 3.60): single-entry moves
+        # alone stop 2.2e-4 below
+        (20260804, 3, 6, -1.0149610538623732),
+        # a 2 x 3 draw with the floor active: only the direction coef + t*w
+        # for a t strictly inside (0, M) lowers the right entries
+        (7, 5, 1, -0.7736489492974504),
+    ],
+)
+def test_relaxed_reaches_what_a_pattern_search_reached(seed, size, draw, reached):
+    # at eps = 1e-2, the score a multi-start pattern search reached
+    rng = np.random.default_rng(seed)
+    inst = [random_instance(rng, max_k=size, max_l=size, max_n=2) for _ in range(draw + 1)][-1]
+    res = solve_multi_relaxed(inst, epsilon=1e-2)
+    assert relaxed_objective(inst, res.contract.allocation) >= reached - 1e-12
+
+
+def test_relaxed_ignores_restarts_and_seed():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        inst = random_instance(rng, max_n=2)
+        a = solve_multi_relaxed(inst, epsilon=1e-3)
+        for restarts, seed in ((1, 0), (7, 123), (2, 2**63)):
+            b = solve_multi_relaxed(inst, epsilon=1e-3, restarts=restarts, seed=seed)
+            assert np.array_equal(a.contract.allocation, b.contract.allocation)
+            assert np.array_equal(a.contract.payment, b.contract.payment)
+            assert a.expected_utility == b.expected_utility and a.diagnostics == b.diagnostics
+        c = relaxed_schedule(inst, epsilons=(1e-2, 1e-3), restarts=3, seed=9)
+        assert np.array_equal(a.contract.allocation, c.contract.allocation)
 
 
 def random_relaxed_row(rng, caps):
@@ -676,14 +751,12 @@ def test_per_entry_product_check_matches_pairwise_reference():
         products = (row[-1] - row[:-1]) * (caps[:-1] - row[:-1])
         epsilons = near(float(rng.choice(products))) if L > 1 else (1e-6,)
         for eps in (*epsilons, 1e-12):
-            # whole rows: _feasible_start keeps a row exactly when it passes
             passes = row_products_ok_reference(row.tolist(), caps, eps)
-            kept = np.array_equal(_feasible_start(row[None, :], caps, eps)[0], row)
-            assert kept == passes, (row, caps, eps)
+            assert _rows_ok(row[None, :], caps, eps)[0] == passes, (row, caps, eps)
             checked_rows += 1
             if not passes:
                 continue
-            # single-entry moves from a passing row, inside the solver's box
+            # rows one entry away, still non-decreasing and within capacity
             for l in range(L):
                 lo = row[l - 1] if l > 0 else 0.0
                 hi = min(caps[l], row[l + 1] if l + 1 < L else caps[l])
@@ -694,12 +767,35 @@ def test_per_entry_product_check_matches_pairwise_reference():
                     worst = float(np.max((moved[-1] - moved[:-1]) * (caps[:-1] - moved[:-1]),
                                          initial=0.0))
                     for move_eps in (eps, *near(worst)):
-                        if not row_products_ok_reference(row.tolist(), caps, move_eps):
-                            continue
-                        got = _move_ok(row.tolist(), l, cand, caps.tolist(), move_eps)
+                        got = _rows_ok(moved[None, :], caps, move_eps)[0]
                         assert got == row_products_ok_reference(moved.tolist(), caps, move_eps)
                         checked_moves += 1
     assert checked_rows > 1000 and checked_moves > 5000
+
+
+def test_rooted_rows_pass_the_pairwise_reference():
+    # rows pass the pairwise check, and an entry with a negative direction
+    # sits at its root: one ulp of max(c, y) lower fails
+    rng = np.random.default_rng(914)
+    rooted = 0
+    for _ in range(300):
+        L = int(rng.integers(2, 6))
+        caps = np.cumsum(rng.uniform(0.1, 2.0, L))
+        eps = float(10.0 ** rng.uniform(-12, 0))
+        d = rng.choice([-1.0, 0.0, 1.0], L)
+        Y = np.concatenate([rng.uniform(0.0, caps[-1], 20), caps])
+        X = _rows_at(Y, d, np.zeros(L), caps, caps, eps)
+        for row, y in zip(X, Y):
+            assert np.all(np.diff(row) >= 0.0) and np.all(row <= caps) and row[-1] == y
+            assert row_products_ok_reference(row.tolist(), caps, eps)
+            for l in np.flatnonzero((d[:-1] < 0.0) & (row[:-1] > 0.0) & (row[:-1] < y)):
+                if l > 0 and row[l] == row[l - 1]:
+                    continue  # raised to the running maximum, not at its root
+                lower = row.copy()
+                lower[l] -= np.spacing(max(caps[l], y))
+                assert not row_products_ok_reference(lower.tolist(), caps, eps)
+                rooted += 1
+    assert rooted > 1000
 
 
 def test_relaxed_schedule_runs_and_tightens():
