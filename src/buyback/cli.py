@@ -21,7 +21,10 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -233,24 +236,76 @@ def solve_report(instance: MarketInstance, result: SolveResult, tol: float) -> d
     }
 
 
+def _numbers(text: str) -> str:
+    """JSON spelling of joined int and float reprs: only nan and inf hold an 'n'."""
+    return text.replace("inf", "Infinity").replace("nan", "NaN") if "n" in text else text
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` nested ``pad`` deep, byte for byte.
+
+    CPython's C encoder serves only ``indent=None``, so the common shapes are
+    spelled here; anything else goes to ``json.dumps`` and is re-indented,
+    which is exact because a JSON string holds no raw newline.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return _numbers(repr(value))
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds <= {float, int}:
+            return f"[\n{inner}{_numbers(sep.join(map(repr, value)))}\n{pad}]"
+        if kinds == {dict} and all(type(key) is str for key in value[0]):
+            keys = list(value[0])
+            cells = [cell for row in value if list(row) == keys for cell in row.values()]
+            # A nan or inf makes the sum non-finite (so may an overflow: that is only slower).
+            if len(cells) == len(keys) * len(value) and set(map(type, cells)) == {float} \
+                    and math.isfinite(sum(cells)):
+                fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %r" for key in keys]
+                row = f"{{\n{inner}  " + f",\n{inner}  ".join(fields) + f"\n{inner}}}"
+                return f"[\n{inner}" + sep.join([row] * len(value)) % tuple(cells) + f"\n{pad}]"
+        return f"[\n{inner}" + sep.join([_json(item, inner) for item in value]) + f"\n{pad}]"
+    if kind is dict and value and all(type(key) is str for key in value):
+        return f"{{\n{inner}" + sep.join([
+            f"{encode_basestring_ascii(key)}: {_json(item, inner)}" for key, item in value.items()
+        ]) + f"\n{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _write_out(doc: dict, out_path: str | None) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline over ``out_path``.
+
+    The file is rewritten in place and then cut to length, so its inode and
+    mode stay.  Truncating first would cost more: ext4 forces allocation and
+    writeback at close of a file truncated to zero.  Only a regular file is
+    cut, so a pipe or a terminal also works.
+    """
     if out_path is None:
         return
-    text = json.dumps(doc, indent=2) + "\n"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = (_json(doc, "") + "\n").encode("ascii")
+    try:
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _print_menu(rows: list[dict]) -> None:
-    print("contract menu:")
-    print(f"  {'valuation':>12} {'capacity':>12} {'repurchase':>12} "
-          f"{'payment':>12} {'utility':>12}")
-    for row in rows:
-        print(
-            f"  {row['valuation']:>12.6g} {row['capacity']:>12.6g} "
-            f"{row['repurchase']:>12.6g} {row['payment']:>12.6g} "
-            f"{row['client_utility']:>12.6g}"
-        )
+    head = "  %12s %12s %12s %12s %12s\n" % ("valuation", "capacity", "repurchase", "payment", "utility")
+    line = "  %12.6g %12.6g %12.6g %12.6g %12.6g\n"
+    print("contract menu:\n" + head + "".join([
+        line % (row["valuation"], row["capacity"], row["repurchase"], row["payment"],
+                row["client_utility"])
+        for row in rows
+    ]), end="")
 
 
 def _print_audit(report: AuditReport) -> None:

@@ -20,7 +20,7 @@ Joint IC and regret take each type's best affordable deviation from a prefix
 maximum over the items sorted by repurchase amount; the decomposed IC checks
 enumerate item pairs on their own, so they cross-check the joint one.  The
 enumerations are vectorised (suffix minima and maxima over higher capacities,
-masked minima, one block of pairs per row) but never use the prefix maximum.
+masked minima, blocks of item pairs) but never use the prefix maximum.
 Rounding is monotone, so ``max_b fl(a - b) = fl(a - min b)`` and every margin
 equals the one the pairwise loops give, bit for bit.  The (rows, K*L) tables
 are built a block of valuation rows at a time, so an audit needs O(K*L)
@@ -46,6 +46,10 @@ _EXCESS_KEYS = ("p1", "p2", "p6")
 # Cells per block of the (rows, K*L) tables behind the IC checks and regret,
 # so an audit's memory stays O(K*L).
 _BLOCK_CELLS = 1 << 18
+# Cells per block of the decomposed checks' pair tables (squeeze and capacity IC),
+# small enough that their temporaries stay in cache: at 60 x 60, squeeze blocks
+# of 2^18 cells took twice as long, and capacity-IC ones raised the peak RSS.
+_PAIR_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,18 +156,27 @@ def _valuation_monotone_margin(grid: TypeGrid, contract: Contract) -> float:
     return worst
 
 
+def _first_min(blocks) -> float:
+    """The least value over the blocks in order, the first of equals (so -0.0 vs
+    0.0 ties resolve as ``min`` over a loop does); 0.0 when there is none."""
+    worst = min((float(seq[np.argmin(seq)]) for seq in blocks), default=math.inf)
+    return 0.0 if worst == math.inf else worst
+
+
 def _squeeze_margin(grid: TypeGrid, contract: Contract) -> float:
     # P3: v[p]*(x[p]-x[q]) <= p[p]-p[q] <= v[q]*(x[p]-x[q]) for p < q, columnwise.
     x, p, v = contract.allocation, contract.payment, grid.valuations
-    worst = math.inf
-    for a in range(grid.num_valuations - 1):
-        dx = x[a] - x[a + 1:]  # (K - a - 1, L): one row per b > a
-        dp = p[a] - p[a + 1:]
-        low = np.min(dp - v[a] * dx, axis=1)
-        high = np.min(v[a + 1:, None] * dx - dp, axis=1)
-        # Pair order (b, low before high), so ties keep the first value seen.
-        worst = min(worst, *np.column_stack((low, high)).ravel().tolist())
-    return 0.0 if worst is math.inf else worst
+    a, b = np.triu_indices(grid.num_valuations, 1)  # pairs a < b, a-major
+    step = max(1, _PAIR_CELLS // grid.num_capacities)
+
+    def block(pairs: slice) -> np.ndarray:
+        dx = x[a[pairs]] - x[b[pairs]]  # (pairs, L)
+        dp = p[a[pairs]] - p[b[pairs]]
+        low = np.min(dp - v[a[pairs], None] * dx, axis=1)
+        high = np.min(v[b[pairs], None] * dx - dp, axis=1)
+        return np.column_stack((low, high)).ravel()  # pair order, low before high
+
+    return _first_min(block(slice(lo, lo + step)) for lo in range(0, a.size, step))
 
 
 def _ic_valuation_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -180,14 +193,17 @@ def _ic_valuation_margin(grid: TypeGrid, contract: Contract) -> float:
 
 def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float:
     # Truthful utility beats every affordable same-valuation item.
-    x = contract.allocation
+    x, c = contract.allocation, grid.capacities
     truth = _truthful_utilities(grid, contract)
-    worst = math.inf
-    for l, cap in enumerate(grid.capacities):
-        # Per l2: min over k of truth[k, l] - truth[k, l2], items affordable at capacity l
-        slack = np.min(truth[:, l, None] - truth, axis=0, where=x <= cap + tol, initial=math.inf)
-        worst = min(worst, *slack.tolist())  # in l2 order, so ties keep the first value seen
-    return 0.0 if worst is math.inf else worst
+    step = max(1, _PAIR_CELLS // x.size)
+
+    def block(ls: slice) -> np.ndarray:
+        # [l, l2] = min over k of truth[k, l] - truth[k, l2], items affordable at capacity l
+        slack = truth.T[ls, :, None] - truth
+        affordable = x <= (c[ls] + tol)[:, None, None]
+        return np.min(slack, axis=1, where=affordable, initial=math.inf).ravel()  # (l, l2) order
+
+    return _first_min(block(slice(lo, lo + step)) for lo in range(0, c.size, step))
 
 
 def _ic_full_margin(truth: np.ndarray, best: np.ndarray) -> float:

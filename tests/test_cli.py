@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -502,3 +503,96 @@ def test_seed_at_the_edges_of_64_unsigned_bits(tmp_path, capsys):
                                "--seed", "0")
     assert code == 0 and "seed 0" in out
     assert _in_process(capsys, "solve", inst, "--method", "relaxed", "--seed", "0")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The --out writer: json.dumps(doc, indent=2) bytes, written in place.
+
+
+def _dumps(doc) -> bytes:
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+def test_every_report_kind_is_written_as_json_dumps_indent_2(tmp_path, capsys, monkeypatch):
+    written = []
+    write_out = cli_mod._write_out
+    monkeypatch.setattr(cli_mod, "_write_out",
+                        lambda doc, path: (written.append(doc), write_out(doc, path)))
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    report = str(tmp_path / "0.json")
+    commands = [
+        ["solve", inst], ["solve", inst, "--method", "relaxed", "--epsilon", "1e-3"],
+        ["oracle", inst, "--grid-step", "0.5"], ["verify", inst, report],
+        ["regret", inst, report], ["simulate", inst, report, "--replications", "50"],
+    ]
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"{i}.json"
+        assert _in_process(capsys, *argv, "--out", str(out))[0] == 0
+        assert out.read_bytes() == _dumps(written[-1])
+    assert len(written) == len(commands)
+
+
+class _Float(float):
+    pass
+
+
+ADVERSARIAL_DOCS = [
+    {"x": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 0.0, 2**64 + 1, -7]},
+    {"empty": [], "none": {}, "nested": [[], [{}], {"x": []}, [[]]]},
+    {"text": "héllo \u0001\"\\\n\t\U0001f600", "keys": {"a\nb": 1.0, "%r": [2.0]}},
+    [True, False, None, 1, 1.5, "x", [None], [True, 2.0]],
+    {"np": np.float64(1.1), "list": [np.float64(2.5), 1.0], "mixed": [1, 2.0, 3], "sub": _Float(0.1)},
+    {"menu": [{"a": 1.0, "b": float("nan")}, {"a": 2.0, "b": 3.0}]},
+    {"menu": [{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 3.0}], "ints": [{"a": 1.0}, {"a": 1}]},
+    {"menu": [{"a": 1e308, "b": 1e308}, {"a": -0.0, "b": 5e-324}], "tuple": (1, 2.0)},
+    {"menu": [{"%r": -0.0, "\u00e9": 5e-324}, {"%r": 1e300, "\u00e9": 0.1}], "rows": [{}, {}]},
+    {"floats": {"p": float("nan"), "q": 1.0}, "int_keys": {1: 2, "x": [3]}},
+    {"deep": {"x": {"y": [[1.0, 2.0], [3.0, float("inf")]], "z": [{"q": [1, {"r": None}]}]}}},
+    [], {}, -0.0, "s", None, float("nan"), 2**70,
+]
+
+
+@pytest.mark.parametrize("doc", ADVERSARIAL_DOCS)
+def test_writer_matches_json_dumps_on_adversarial_documents(tmp_path, doc):
+    out = tmp_path / "out.json"
+    cli_mod._write_out(doc, str(out))
+    assert out.read_bytes() == _dumps(doc)
+
+
+def test_rewriting_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    out = tmp_path / "out.json"
+    cli_mod._write_out({"long": list(range(1000))}, str(out))
+    inode = out.stat().st_ino
+    cli_mod._write_out({"short": 1.0}, str(out))
+    assert out.read_bytes() == _dumps({"short": 1.0})
+    assert out.stat().st_ino == inode  # rewritten in place, as open(path, "w") does
+
+
+@pytest.mark.parametrize("umask", [0o002, 0o022, 0o077])
+def test_new_report_file_gets_the_mode_open_gives(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        with open(tmp_path / "ref.json", "w"):
+            pass
+        cli_mod._write_out({"a": 1.0}, str(tmp_path / "out.json"))
+    finally:
+        os.umask(saved)
+    assert (tmp_path / "out.json").stat().st_mode == (tmp_path / "ref.json").stat().st_mode
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_path_is_invalid_input(tmp_path, capsys, where):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    out = str(tmp_path / where)
+    code, _, err = _in_process(capsys, "solve", inst, "--out", out)
+    assert code == 2 and err.startswith(f"error: cannot write {out}: [Errno")
+
+
+@pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="needs /dev/stdout")
+def test_out_to_dev_stdout_prints_the_report(tmp_path):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    report = tmp_path / "report.json"
+    assert run_cli("solve", inst, "--out", str(report)).returncode == 0
+    proc = run_cli("solve", inst, "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(report.read_text() + "contract menu:\n")

@@ -357,6 +357,27 @@ def test_audit_margins_match_loop_references(block_cells, monkeypatch):
             assert repr(got.regret) == repr(ref.regret)
 
 
+@pytest.mark.parametrize("pair_cells", [1, 7, 40, None])
+def test_pair_block_margins_match_loop_references(pair_cells, monkeypatch):
+    # 1 puts each pair in a block of its own; 7 and 40 give blocks of several
+    # pairs, so the first of equal minima can sit in any block.
+    if pair_cells is not None:
+        monkeypatch.setattr(feasibility, "_PAIR_CELLS", pair_cells)
+    rng = np.random.default_rng(433)
+    kinds = ("feasible", "perturbed", "integer", "unaffordable")
+    for i in range(200):
+        grid = random_grid(rng, max_k=6, max_l=4, integer=i % 2 == 0)
+        contract = random_menu(rng, grid, kinds[i % 4])
+        if i % 3 == 0:  # every margin a zero of either sign: the first one seen decides
+            contract = Contract(np.zeros(contract.shape), np.zeros(contract.shape))
+        contract = _with_signed_zeros(rng, contract)
+        got = feasibility._squeeze_margin(grid, contract)
+        assert repr(got) == repr(squeeze_margin_reference(grid, contract))
+        for tol in (0.0, 0.5):
+            got = feasibility._ic_capacity_margin(grid, contract, tol)
+            assert repr(got) == repr(ic_capacity_margin_reference(grid, contract, tol))
+
+
 # Each check with the verdict it must give on an exact two-capacity menu.
 EXACT_MENU_PASSES = {
     check_resource_feasibility: lambda out: out[0],
