@@ -12,13 +12,15 @@ File formats (UTF-8 JSON):
 Numbers are serialized at full round-trip precision; human-readable tables
 render at 6 significant digits.  Exit codes: 0 success/feasible, 1 infeasible
 contract, 2 invalid input, 3 internal failure.  Environment variables are
-never consulted.
+never consulted.  A process that calls ``main`` repeatedly re-parses an input
+file only when its text changes.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import math
 import os
@@ -65,14 +67,37 @@ _REQUIRED_INSTANCE_KEYS = (
 )
 
 
-def _load_json(path: str):
+#: The last successful parse of each kind of input file: kind -> (key, result).
+#: The key is the SHA-256 digest of the text plus, for a contract, the grid
+#: shape it was read against, so a changed file is parsed again whatever its
+#: path, inode or mtime.  Results are frozen, so commands may share them.
+_parsed: dict[str, tuple[tuple, object]] = {}
+
+
+def _load_json(path: str, grid: TypeGrid | None = None):
+    """``parse_instance`` of the JSON in ``path``, or with a ``grid`` its
+    ``parse_contract``, taken from ``_parsed`` while the text is unchanged."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed, not UTF-8, or an integer past the digit limit
+    except ValueError as exc:  # not UTF-8
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    kind = "instance" if grid is None else "contract"
+    shape = None if grid is None else (grid.num_valuations, grid.num_capacities)
+    key = (hashlib.sha256(text.encode()).digest(), shape)
+    last = _parsed.get(kind)
+    if last is not None and last[0] == key:
+        return last[1]
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the digit limit
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    # Looked up at call time, so a wrapper swapped into this module sees the call.
+    result = parse_instance(doc) if grid is None else parse_contract(doc, grid)
+    _parsed[kind] = (key, result)
+    return result
 
 
 def _number(value, key: str) -> float:
@@ -318,7 +343,7 @@ def _print_audit(report: AuditReport) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance, file_epsilon, _ = parse_instance(_load_json(args.instance))
+    instance, file_epsilon, _ = _load_json(args.instance)
     epsilon = args.epsilon if args.epsilon is not None else file_epsilon
     method = args.method
     if method == "auto":
@@ -343,8 +368,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance, file_epsilon, _ = parse_instance(_load_json(args.instance))
-    contract = parse_contract(_load_json(args.contract), instance.grid)
+    instance, file_epsilon, _ = _load_json(args.instance)
+    contract = _load_json(args.contract, instance.grid)
     check_shapes(instance.grid, contract)
     epsilon = args.epsilon if args.epsilon is not None else (file_epsilon or 0.0)
     report = check_theorem1(instance.grid, contract, tol=args.tol, epsilon=epsilon)
@@ -372,8 +397,8 @@ def _summary_dict(summary: SimulationSummary) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    instance, _, file_seed = parse_instance(_load_json(args.instance))
-    contract = parse_contract(_load_json(args.contract), instance.grid)
+    instance, _, file_seed = _load_json(args.instance)
+    contract = _load_json(args.contract, instance.grid)
     check_shapes(instance.grid, contract)
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     config = SimulationConfig(
@@ -393,8 +418,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_regret(args) -> int:
-    instance, file_epsilon, _ = parse_instance(_load_json(args.instance))
-    contract = parse_contract(_load_json(args.contract), instance.grid)
+    instance, file_epsilon, _ = _load_json(args.instance)
+    contract = _load_json(args.contract, instance.grid)
     check_shapes(instance.grid, contract)
     epsilon = args.epsilon if args.epsilon is not None else (file_epsilon or 0.0)
     value = compute_regret(instance.grid, contract)
@@ -406,7 +431,7 @@ def cmd_regret(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance, _, _ = parse_instance(_load_json(args.instance))
+    instance, _, _ = _load_json(args.instance)
     result = oracle_grid_search(instance, args.grid_step)
     report = solve_report(instance, result, args.tol)
     _write_out(report, args.out)

@@ -44,8 +44,10 @@ AUDIT_TOL = 1e-6
 _EXCESS_KEYS = ("p1", "p2", "p6")
 
 # Cells per block of the (rows, K*L) tables behind the IC checks and regret,
-# so an audit's memory stays O(K*L).
-_BLOCK_CELLS = 1 << 18
+# so an audit's memory stays O(K*L).  Blocks of 2^16 cells (512 KB of floats)
+# stay in cache: at K, L in 30..60, blocks of 2^18 cells made regret and the
+# simulator's choice tables take twice as long, and the whole audit 1.4 times.
+_BLOCK_CELLS = 1 << 16
 # Cells per block of the decomposed checks' pair tables (squeeze and capacity IC),
 # small enough that their temporaries stay in cache: at 60 x 60, squeeze blocks
 # of 2^18 cells took twice as long, and capacity-IC ones raised the peak RSS.
@@ -95,7 +97,8 @@ def _truthful_utilities(grid: TypeGrid, contract: Contract) -> np.ndarray:
 
 
 def _row_blocks(grid: TypeGrid) -> list[slice]:
-    """Valuation rows in blocks of about _BLOCK_CELLS cells of a (rows, K*L) table."""
+    """Valuation rows in blocks of at most _BLOCK_CELLS cells of a (rows, K*L)
+    table, or of one row where a row alone is larger."""
     K = grid.num_valuations
     step = max(1, _BLOCK_CELLS // (K * grid.num_capacities))
     return [slice(lo, lo + step) for lo in range(0, K, step)]

@@ -179,6 +179,45 @@ def _type_blocks(instance: MarketInstance, config: SimulationConfig):
         yield types
 
 
+def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """numpy's pairwise_sum, less its 0.0 start, of the n gathered columns
+    ``values[types[:, lo + i]]``: below 8 terms in sequence; up to 128, eight
+    lanes, their tree, then the rest in sequence; past 128, two halves split
+    at a multiple of 8."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(values, types, lo, half)
+        total += _pairwise_sum(values, types, lo + half, n - half)
+        return total
+    if n < 8:
+        total = values[types[:, lo]]
+        for i in range(lo + 1, lo + n):
+            total += values[types[:, i]]
+        return total
+    end = lo + n - n % 8
+    r = [values[types[:, lo + j]] for j in range(8)]
+    for i in range(lo + 8, end, 8):
+        for j in range(8):
+            r[j] += values[types[:, i + j]]
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for i in range(end, lo + n):
+        r[0] += values[types[:, i]]
+    return r[0]
+
+
+def _row_sums(values: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """``values[types].sum(axis=1)`` bit for bit, one gathered column at a time.
+
+    numpy sums a row as its identity 0.0 plus the row's pairwise_sum.  The
+    same tree with whole columns for terms skips the per-row call overhead
+    of summing many short rows.
+    """
+    total = _pairwise_sum(values, types, 0, types.shape[1])
+    total += 0.0  # the identity: turns a -0.0 total into 0.0
+    return total
+
+
 def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str):
     """Per-type best-response lookup: chosen x, chosen p, and item code.
 
@@ -231,8 +270,8 @@ def simulate(
     type_counts = np.zeros(len(codes), dtype=np.intp)
     for lo, types in zip(range(0, R, _BLOCK), _type_blocks(instance, config)):
         rows = slice(lo, lo + len(types))
-        total_x[rows] = chosen_x[types].sum(axis=1)  # row sums: the same bits in any block
-        total_p = chosen_p[types].sum(axis=1)
+        total_x[rows] = _row_sums(chosen_x, types)  # row sums: the same bits in any block
+        total_p = _row_sums(chosen_p, types)
         shortfall = np.minimum(0.0, total_x[rows] - instance.demand_floor)
         utility[rows] = instance.alpha * total_x[rows] - total_p + instance.penalty * shortfall
         type_counts += np.bincount(types.ravel(), minlength=len(codes))

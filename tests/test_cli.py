@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buyback import Contract, SolveMethod, SolveResult, ValidationError
+from buyback import Contract, MarketInstance, SolveMethod, SolveResult, ValidationError
 from buyback import cli as cli_mod
 from buyback.cli import _build_parser, _matrix, main, parse_instance, solve_report
 from buyback.feasibility import AUDIT_TOL
@@ -596,3 +598,163 @@ def test_out_to_dev_stdout_prints_the_report(tmp_path):
     proc = run_cli("solve", inst, "--out", "/dev/stdout")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(report.read_text() + "contract menu:\n")
+
+
+# ---------------------------------------------------------------------------
+# Each kind of input file is parsed once per text: repeated commands in one
+# process share the parse, and any change to the text is seen.
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty parse memo, and the number of parse_instance / parse_contract calls."""
+    monkeypatch.setattr(cli_mod, "_parsed", {})
+    counts = {"parse_instance": 0, "parse_contract": 0}
+    for name in counts:
+        def counted(*args, _parse=getattr(cli_mod, name), _name=name):
+            counts[_name] += 1
+            return _parse(*args)
+        monkeypatch.setattr(cli_mod, name, counted)
+    return counts
+
+
+def test_market_commands_parse_each_file_once(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    for command in (["verify", inst, contract], ["regret", inst, contract],
+                    ["simulate", inst, contract, "--replications", "100"]):
+        assert _in_process(capsys, *command)[0] in (0, 1)
+    assert parses == {"parse_instance": 1, "parse_contract": 1}
+
+
+def test_same_size_rewrite_with_its_mtime_restored_is_parsed_again(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    path = tmp_path / "c.json"
+    contract = write_json(path, _CONTRACT_L2)
+    first = _in_process(capsys, "regret", inst, contract)
+    before = path.stat()
+    lowered = {**_CONTRACT_L2, "payment": [[6.0, 6.0], [3.0, 4.0]]}  # same length
+    write_json(path, lowered)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert path.stat().st_mtime_ns == before.st_mtime_ns
+    second = _in_process(capsys, "regret", inst, contract)
+    assert parses == {"parse_instance": 1, "parse_contract": 2}
+    assert second != first
+    fresh = run_cli("regret", inst, contract)
+    assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_solve_out_over_the_contract_file_is_seen(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    path = tmp_path / "c.json"
+    contract = write_json(path, {"allocation": [[5.0, 9.0], [0.0, 0.0]],
+                                 "payment": [[1.0, 1.0], [1.0, 1.0]]})
+    assert _in_process(capsys, "verify", inst, contract)[0] == 1
+    inode = path.stat().st_ino
+    assert _in_process(capsys, "solve", inst, "--out", contract)[0] == 0
+    assert path.stat().st_ino == inode  # rewritten in place
+    assert _in_process(capsys, "verify", inst, contract)[0] == 0
+    assert parses["parse_contract"] == 2
+
+
+def test_a_fixed_file_parses_after_a_failed_parse(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    path = tmp_path / "c.json"
+    broken = {**_CONTRACT_L2, "payment": [[6.0, 6.0], [4.0, "4"]]}
+    for doc, code in ((broken, 2), (broken, 2), (_CONTRACT_L2, 0)):
+        contract = write_json(path, doc)
+        assert _in_process(capsys, "regret", inst, contract)[0] == code
+    path.write_text("{", encoding="utf-8")
+    assert _in_process(capsys, "regret", inst, contract)[0] == 2
+    write_json(path, _CONTRACT_L2)
+    assert _in_process(capsys, "regret", inst, contract)[0] == 0
+    # Each failure is parsed afresh and kept nowhere, so the good text's parse
+    # stays, and serves it again after the malformed text.
+    assert parses == {"parse_instance": 1, "parse_contract": 3}
+
+
+def test_one_contract_against_two_grid_shapes(tmp_path, capsys, parses):
+    narrow = write_json(tmp_path / "narrow.json", INSTANCE_L2)
+    wide = write_json(tmp_path / "wide.json", {
+        **INSTANCE_L2, "capacities": [5.0, 10.0, 15.0],
+        "clients": [{"probs": [[0.1, 0.1], [0.2, 0.2], [0.2, 0.2]]}]})
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    for inst in (narrow, wide, narrow, wide):
+        code, out, err = _in_process(capsys, "verify", inst, contract)
+        if inst == wide:
+            assert (code, out) == (2, "")
+            assert err == "error: 'allocation' row 0 must hold 3 numbers\n"
+        else:
+            assert code == 0
+    # The failed 2 x 3 reads leave the 2 x 2 parse of the contract in place.
+    assert parses == {"parse_instance": 4, "parse_contract": 3}
+
+
+def test_repeated_commands_match_fresh_processes(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = str(tmp_path / "solved.json")
+    bom, crlf, latin = tmp_path / "bom.json", tmp_path / "crlf.json", tmp_path / "latin.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "inst.json").read_bytes())
+    crlf.write_bytes(b'{\r\n"allocation": [[1.0, 2.0]],\r\n"payment": [[1.0, 2.0]\r\n')
+    latin.write_bytes(b'{"valuations": "\xe9"}')
+    crlf_ok = tmp_path / "crlf_ok.json"
+    crlf_ok.write_bytes(json.dumps(_CONTRACT_L2, indent=1).replace("\n", "\r\n").encode())
+    calls = [
+        ("solve", inst, "--out", contract),
+        ("verify", inst, contract, "--out", "{out}"),
+        ("regret", inst, contract, "--out", "{out}"),
+        ("simulate", inst, contract, "--replications", "500", "--out", "{out}"),
+        ("verify", inst, contract, "--out", "{out}"),
+        ("verify", str(bom), contract),
+        ("verify", inst, str(crlf)),
+        ("verify", inst, str(crlf_ok), "--out", "{out}"),
+        ("verify", str(latin), contract),
+        ("verify", inst, str(tmp_path)),
+        ("verify", inst, str(tmp_path / "missing.json")),
+        ("regret", inst, contract, "--epsilon", "0.01", "--out", "{out}"),
+    ]
+    for i, call in enumerate(calls):
+        fresh_out, here_out = tmp_path / f"fresh{i}.json", tmp_path / f"here{i}.json"
+        code, out, err = _in_process(capsys, *[a.format(out=here_out) for a in call])
+        fresh = run_cli(*[a.format(out=fresh_out) for a in call])
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), call
+        if "--out" in call and "{out}" in call:
+            assert here_out.read_bytes() == fresh_out.read_bytes()
+    # Only the solved contract, the CRLF one, then the solved one again parse;
+    # every other read fails before parsing or finds its text's parse.
+    assert parses == {"parse_instance": 1, "parse_contract": 3}
+
+
+def _live_instances() -> int:
+    return sum(isinstance(obj, MarketInstance) for obj in gc.get_objects())
+
+
+def test_parse_memo_keeps_one_file_of_each_kind(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "_parsed", {})
+    rng = np.random.default_rng(449)
+    contract = write_json(tmp_path / "c.json", {"allocation": [[0.0] * 60] * 60,
+                                                "payment": [[0.0] * 60] * 60})
+    gc.collect()
+    live = _live_instances()
+    for i in range(20):
+        probs = rng.random((60, 60))
+        doc = {"valuations": list(range(1, 61)), "capacities": list(range(1, 61)),
+               "clients": [{"probs": (probs / probs.sum()).tolist()}],
+               "alpha": 2.0, "penalty_M": 0.0, "demand_floor_D": 0.0}
+        inst = write_json(tmp_path / f"inst{i}.json", doc)
+        assert _in_process(capsys, "regret", inst, contract)[0] == 0
+        assert set(cli_mod._parsed) == {"instance", "contract"}
+    gc.collect()
+    assert _live_instances() <= live + 1
+
+
+def test_every_traced_boundary_is_a_cli_name():
+    # The tracer skips a name buyback.cli lacks, so a rename would drop a layer silently.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (boundaries,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and [target.id for target in node.targets] == ["BOUNDARIES"]]
+    names = ast.literal_eval(boundaries).keys()
+    assert len(names) >= 10
+    assert [name for name in names if not hasattr(cli_mod, name)] == []

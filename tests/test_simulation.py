@@ -28,6 +28,7 @@ from buyback.simulation import (
     _choices_at,
     _guide_table,
     _lookup,
+    _row_sums,
     _type_blocks,
 )
 from helpers import (
@@ -403,6 +404,24 @@ def test_streamed_simulation_matches_whole_array_reference(tie_break):
             assert repr(getattr(got, field)) == repr(getattr(ref, field)), field
         assert got.item_counts.dtype == ref.item_counts.dtype
         assert np.array_equal(got.item_counts, ref.item_counts)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 40), 127, 128, 129, 200, 255, 256, 257, 300, 1000])
+def test_row_sums_match_numpy_sum_bitwise(n):
+    # The column-wise tree restates numpy's own pairwise summation; a numpy
+    # that sums rows another way fails here first.  Magnitudes 1e-20..1e20
+    # make every reordering visible, and signed zeros test the identity.
+    rng = np.random.default_rng(443 + n)
+    values = rng.standard_normal(64) * 10.0 ** rng.integers(-20, 21, size=64)
+    values[:8] = [0.0, -0.0, -0.0, 1e20, -1e20, 1.0, -1.0, 5e-324]
+    types = rng.integers(0, 64, size=(300, n))
+    types[:4] = rng.integers(1, 3, size=(4, n))  # rows of -0.0 only
+    types[4] = rng.permutation(np.resize([3, 4, 5, 6], n))  # cancellation
+    expected = values[types].sum(axis=1)
+    got = _row_sums(values, types)
+    assert got.tobytes() == expected.tobytes()
+    assert repr(float(got[0])) == "0.0"  # not -0.0
 
 
 def test_simulate_budget_150x150():
