@@ -19,6 +19,7 @@ file only when its text changes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -30,14 +31,15 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .feasibility import AUDIT_TOL, AuditReport, check_theorem1, compute_regret, regret_bound
+from .feasibility import (
+    AUDIT_TOL, VERDICT_KEYS, AuditReport, check_theorem1, compute_regret, regret_bound
+)
 from .model import (
     ClientDistribution,
     Contract,
     MarketInstance,
     TypeGrid,
     ValidationError,
-    check_shapes,
     provider_expected_utility,
 )
 from .simulation import SimulationConfig, SimulationSummary, simulate
@@ -201,21 +203,10 @@ def contract_dict(contract: Contract) -> dict:
 
 
 def audit_dict(report: AuditReport) -> dict:
+    """The verdicts in the order of the report's margins, then the margins and the rest."""
     return {
         "feasible": report.feasible,
-        "p1": report.p1,
-        "p2": report.p2,
-        "p3": report.p3,
-        "p4": report.p4,
-        "p5": report.p5,
-        "p6": report.p6,
-        "resource_feasible": report.resource_feasible,
-        "greedy_monotone": report.greedy_monotone,
-        "greedy_maximal": report.greedy_maximal,
-        "ic_valuation": report.ic_valuation,
-        "ic_capacity": report.ic_capacity,
-        "ic_full": report.ic_full,
-        "ir": report.ir,
+        **{key: getattr(report, key) for key in report.margins},
         "margins": report.margins,
         "worst_violation": list(report.worst_violation),
         "regret": report.regret,
@@ -334,7 +325,7 @@ def _print_menu(rows: list[dict]) -> None:
 
 
 def _print_audit(report: AuditReport) -> None:
-    for key in ("p1", "p2", "p3", "p4", "p5", "p6", "ic_full", "ir"):
+    for key in VERDICT_KEYS:
         ok = getattr(report, key)
         print(f"  {key:<8} {'pass' if ok else 'FAIL'}  margin {report.margins[key]:.6g}")
     worst_id, worst_mag = report.worst_violation
@@ -352,12 +343,10 @@ def cmd_solve(args) -> int:
         result = solve_single_capacity(instance)
     elif method == "reduced":
         result = solve_multi_reduced(instance)
-    elif method == "relaxed":
+    else:  # relaxed
         result = solve_multi_relaxed(
             instance, epsilon=epsilon if epsilon is not None else DEFAULT_EPSILON
         )
-    else:
-        raise ValidationError(f"unknown method '{method}'")
     report = solve_report(instance, result, args.tol)
     _write_out(report, args.out)
     _print_menu(report["menu"])
@@ -370,7 +359,6 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     instance, file_epsilon, _ = _load_json(args.instance)
     contract = _load_json(args.contract, instance.grid)
-    check_shapes(instance.grid, contract)
     epsilon = args.epsilon if args.epsilon is not None else (file_epsilon or 0.0)
     report = check_theorem1(instance.grid, contract, tol=args.tol, epsilon=epsilon)
     doc = {
@@ -385,21 +373,14 @@ def cmd_verify(args) -> int:
 
 
 def _summary_dict(summary: SimulationSummary) -> dict:
-    return {
-        "mean_utility": summary.mean_utility,
-        "std_error": summary.std_error,
-        "mean_total_repurchase": summary.mean_total_repurchase,
-        "shortfall_frequency": summary.shortfall_frequency,
-        "item_counts": summary.item_counts.tolist(),
-        "opt_out_count": summary.opt_out_count,
-        "replications": summary.replications,
-    }
+    doc = {field.name: getattr(summary, field.name) for field in dataclasses.fields(summary)}
+    doc["item_counts"] = summary.item_counts.tolist()
+    return doc
 
 
 def cmd_simulate(args) -> int:
     instance, _, file_seed = _load_json(args.instance)
     contract = _load_json(args.contract, instance.grid)
-    check_shapes(instance.grid, contract)
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
     config = SimulationConfig(
         replications=args.replications, seed=seed, tie_break=args.tie_break
@@ -420,7 +401,6 @@ def cmd_simulate(args) -> int:
 def cmd_regret(args) -> int:
     instance, file_epsilon, _ = _load_json(args.instance)
     contract = _load_json(args.contract, instance.grid)
-    check_shapes(instance.grid, contract)
     epsilon = args.epsilon if args.epsilon is not None else (file_epsilon or 0.0)
     value = compute_regret(instance.grid, contract)
     bound = regret_bound(instance.grid, epsilon)

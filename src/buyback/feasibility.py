@@ -6,13 +6,13 @@ feasibility, resource-greedy allocation structure, incentive compatibility
 the six-property characterization of feasible contracts, and the regret
 metric with its square-root bound for relaxed solutions.
 
-Margin conventions (one number accompanies every boolean verdict):
+Margin conventions (every verdict is read off its margin by one rule):
 
-* resource-side checks (feasibility, greediness, allocation monotonicity)
-  report the largest *excess* in resource units; they pass iff the margin
-  is <= tol;
+* resource-side checks (feasibility, greediness, allocation monotonicity;
+  the keys in ``_EXCESS_KEYS``) report the largest *excess* in resource
+  units; they pass iff the margin is <= tol, and violate by max(margin, 0);
 * money-side checks (IC, IR, squeeze) report the smallest *slack* in money
-  units; they pass iff the margin is >= -tol.
+  units; they pass iff the margin is >= -tol, and violate by max(-margin, 0).
 
 Every ``check_*`` raises ValidationError unless tol is finite and >= 0.
 
@@ -34,14 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Contract, TypeGrid, ValidationError, check_shapes
+from .model import Contract, TypeGrid, ValidationError, check_shapes, check_tol
 
 #: Default absolute tolerance for audit passes.
 AUDIT_TOL = 1e-6
 
-# Worst-violation keys whose violation is max(margin, 0) (resource units);
-# the others are money-side, with violation max(-margin, 0).
-_EXCESS_KEYS = ("p1", "p2", "p6")
+#: The checks an audit ranks by violation, in the order ties resolve.
+VERDICT_KEYS = ("p1", "p2", "p3", "p4", "p5", "p6", "ic_full", "ir")
+
+# Margins in resource units, passing at <= tol; the others are money-side,
+# passing at >= -tol.
+_EXCESS_KEYS = ("p1", "p2", "p6", "resource_feasible", "greedy_monotone", "greedy_maximal")
 
 # Cells per block of the (rows, K*L) tables behind the IC checks and regret,
 # so an audit's memory stays O(K*L).  Blocks of 2^16 cells (512 KB of floats)
@@ -125,8 +128,7 @@ def _best_affordable_utility(grid: TypeGrid, contract: Contract, tols: tuple = (
 
 def _check_args(grid: TypeGrid, contract: Contract, tol: float) -> None:
     check_shapes(grid, contract)
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol = {tol} must be finite and non-negative")
+    check_tol(tol)
 
 
 def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
@@ -182,11 +184,10 @@ def _squeeze_margin(grid: TypeGrid, contract: Contract) -> float:
     return _first_min(block(slice(lo, lo + step)) for lo in range(0, a.size, step))
 
 
-def _ic_valuation_margin(grid: TypeGrid, contract: Contract) -> float:
+def _ic_valuation_margin(grid: TypeGrid, contract: Contract, truth: np.ndarray) -> float:
     # Truthful utility beats every same-column item, for every valuation.
     x, p = contract.allocation, contract.payment
     v = grid.valuations
-    truth = _truthful_utilities(grid, contract)
     # slack[k, k2, l] = truth[k, l] - (p[k2, l] - v[k] * x[k2, l]), a block of k at a time
     return min(
         float(np.min(truth[rows, None, :] - (p[None, :, :] - v[rows, None, None] * x[None, :, :])))
@@ -194,10 +195,9 @@ def _ic_valuation_margin(grid: TypeGrid, contract: Contract) -> float:
     )
 
 
-def _ic_capacity_margin(grid: TypeGrid, contract: Contract, tol: float) -> float:
+def _ic_capacity_margin(grid: TypeGrid, contract: Contract, truth: np.ndarray, tol: float) -> float:
     # Truthful utility beats every affordable same-valuation item.
     x, c = contract.allocation, grid.capacities
-    truth = _truthful_utilities(grid, contract)
     step = max(1, _PAIR_CELLS // x.size)
 
     def block(ls: slice) -> np.ndarray:
@@ -216,14 +216,6 @@ def _ic_full_margin(truth: np.ndarray, best: np.ndarray) -> float:
 
 def _regret(truth: np.ndarray, best: np.ndarray) -> float:
     return max(0.0, float(np.max(best - truth)))
-
-
-def _ir_margin(grid: TypeGrid, contract: Contract) -> float:
-    return float(np.min(_truthful_utilities(grid, contract)))
-
-
-def _top_ir_margin(grid: TypeGrid, contract: Contract) -> float:
-    return float(np.min(_truthful_utilities(grid, contract)[-1, :]))
 
 
 def check_resource_feasibility(
@@ -267,15 +259,16 @@ def check_ic_decomposed(
 ) -> tuple[bool, bool]:
     """The valuation-only and capacity-only incentive constraints."""
     _check_args(grid, contract, tol)
-    val = _ic_valuation_margin(grid, contract)
-    cap = _ic_capacity_margin(grid, contract, tol)
+    truth = _truthful_utilities(grid, contract)
+    val = _ic_valuation_margin(grid, contract, truth)
+    cap = _ic_capacity_margin(grid, contract, truth, tol)
     return val >= -tol, cap >= -tol
 
 
 def check_ir(grid: TypeGrid, contract: Contract, tol: float = AUDIT_TOL) -> tuple[bool, float]:
     """Truthful participation never hurts: p[k,l] - v[k]*x[k,l] >= 0."""
     _check_args(grid, contract, tol)
-    margin = _ir_margin(grid, contract)
+    margin = float(np.min(_truthful_utilities(grid, contract)))
     return margin >= -tol, margin
 
 
@@ -313,61 +306,44 @@ def check_theorem1(
     own definitions rather than derived from P1..P6, so the report doubles
     as a test of the characterization itself.  ``epsilon`` only feeds the
     reported regret bound (pass 0 for exact contracts).
+
+    The 13 margins share one table of truthful utilities.  Each verdict, and
+    the worst violation (the first of ``VERDICT_KEYS`` with the largest),
+    follows from its margin by the module's one rule.
     """
     _check_args(grid, contract, tol)
-
+    truth = _truthful_utilities(grid, contract)
     feas_margin = _feasibility_margin(grid, contract)
     mono_margin, maximal_margin = _greedy_margins(grid, contract, tol)
-    p2_margin = _valuation_monotone_margin(grid, contract)
-    p3_margin = _squeeze_margin(grid, contract)
-    ic_val_margin = _ic_valuation_margin(grid, contract)
-    ic_cap_margin = _ic_capacity_margin(grid, contract, tol)
+    ic_cap_margin = _ic_capacity_margin(grid, contract, truth, tol)
     # joint IC at c + tol and regret at c gather from one prefix maximum
-    truth = _truthful_utilities(grid, contract)
     best_at_tol, best_at_cap = _best_affordable_utility(grid, contract, (tol, 0.0))
-    ic_margin = _ic_full_margin(truth, best_at_tol)
-    ir_margin = _ir_margin(grid, contract)
-    p5_margin = _top_ir_margin(grid, contract)
-
     margins = {
         "p1": feas_margin,
-        "p2": p2_margin,
-        "p3": p3_margin,
+        "p2": _valuation_monotone_margin(grid, contract),
+        "p3": _squeeze_margin(grid, contract),
         "p4": ic_cap_margin,
-        "p5": p5_margin,
+        "p5": float(np.min(truth[-1, :])),
         "p6": max(mono_margin, maximal_margin),
         "resource_feasible": feas_margin,
         "greedy_monotone": mono_margin,
         "greedy_maximal": maximal_margin,
-        "ic_valuation": ic_val_margin,
+        "ic_valuation": _ic_valuation_margin(grid, contract, truth),
         "ic_capacity": ic_cap_margin,
-        "ic_full": ic_margin,
-        "ir": ir_margin,
+        "ic_full": _ic_full_margin(truth, best_at_tol),
+        "ir": float(np.min(truth)),
     }
-
-    worst_id, worst_mag = "none", 0.0
-    for key in ("p1", "p2", "p3", "p4", "p5", "p6", "ic_full", "ir"):
-        margin = margins[key]
-        violation = max(margin, 0.0) if key in _EXCESS_KEYS else max(-margin, 0.0)
-        if violation > worst_mag:
-            worst_id, worst_mag = key, violation
-
+    # max(0.0, nan) is 0.0, so a NaN margin fails its verdict but is never the worst
+    violation = {
+        key: max(0.0, margins[key] if key in _EXCESS_KEYS else -margins[key])
+        for key in VERDICT_KEYS
+    }
+    worst = max(VERDICT_KEYS, key=violation.get)
     return AuditReport(
-        resource_feasible=feas_margin <= tol,
-        greedy_monotone=mono_margin <= tol,
-        greedy_maximal=maximal_margin <= tol,
-        ic_valuation=ic_val_margin >= -tol,
-        ic_capacity=ic_cap_margin >= -tol,
-        ic_full=ic_margin >= -tol,
-        ir=ir_margin >= -tol,
-        p1=feas_margin <= tol,
-        p2=p2_margin <= tol,
-        p3=p3_margin >= -tol,
-        p4=ic_cap_margin >= -tol,
-        p5=p5_margin >= -tol,
-        p6=mono_margin <= tol and maximal_margin <= tol,
+        **{key: margin <= tol if key in _EXCESS_KEYS else margin >= -tol
+           for key, margin in margins.items()},
         margins=margins,
-        worst_violation=(worst_id, worst_mag),
+        worst_violation=(worst, violation[worst]) if violation[worst] > 0.0 else ("none", 0.0),
         regret=_regret(truth, best_at_cap),
         regret_bound=regret_bound(grid, epsilon),
     )

@@ -203,6 +203,12 @@ class AggregateWeights:
         return cls(total)
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValidationError unless the tolerance is finite and non-negative."""
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol = {tol} must be finite and non-negative")
+
+
 def check_shapes(grid: TypeGrid, contract: Contract) -> None:
     """Raise ValidationError unless the contract matches the grid's K x L shape."""
     expected = (grid.num_valuations, grid.num_capacities)

@@ -10,14 +10,15 @@ taking the same float operations as in a column on its own.
 
 Payments are computed by backward recursion rather than the equivalent
 closed-form sum to avoid O(K^2) accumulation error; the closed form is kept
-as a test oracle.
+as a test oracle.  Every rule raises ValidationError unless tol is finite
+and >= 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Contract, TypeGrid, ValidationError
+from .model import Contract, TypeGrid, ValidationError, check_tol
 
 #: Allocation slack treated as roundoff and clamped before the recursion.
 CLAMP_TOL = 1e-9
@@ -39,6 +40,7 @@ def column_payments(
     violations within tol are clamped to the boundary, larger ones raise
     PreconditionError naming the offending index.
     """
+    check_tol(tol)
     v = np.asarray(valuations, dtype=float)
     x = np.array(allocation_column, dtype=float)
     if x.ndim != 1 or x.shape != v.shape:
@@ -103,6 +105,7 @@ def optimal_payment_multi(
     (P6); violations beyond ``tol`` raise PreconditionError naming the
     property and indices.
     """
+    check_tol(tol)
     x = np.asarray(allocation, dtype=float)
     K, L = grid.num_valuations, grid.num_capacities
     if x.shape != (K, L):

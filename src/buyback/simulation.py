@@ -40,6 +40,7 @@ from .model import (
     TypeGrid,
     ValidationError,
     check_shapes,
+    check_tol,
 )
 
 TIE_TRUTHFUL_FIRST = "truthful_first"
@@ -127,9 +128,11 @@ def best_response(
     ``tol`` go to the truthful item first (then the lexicographically lowest
     item) in ``truthful_first`` mode, or to the highest-payment item (then
     the lexicographically lowest) in ``max_payment`` mode.  A client
-    indifferent between signing and opting out signs.
+    indifferent between signing and opting out signs.  ``tol`` must be
+    finite and non-negative.
     """
     check_shapes(grid, contract)
+    check_tol(tol)
     if tie_break not in _TIE_MODES:
         raise ValidationError(f"tie_break must be one of {_TIE_MODES}")
     k, l = true_type

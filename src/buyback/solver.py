@@ -204,19 +204,19 @@ def _level_fronts(gain, mass, rows, suffix: bool, points: int):
 
 
 def _crossing_screen(w, caps, G, D, before, after):
-    """(a, b, m) of every crossing block worth its exact theta checks, in order.
+    """(a, b, m) of every crossing block that may hold a crossing, in order.
 
     ``before[a][m]`` and ``after[b][m]`` are the fronts on either side of
-    block [a..b] in capacity segment m.  _penalty_candidates skips a block
-    whose slope is 0 or whose theta range misses the segment.  Here every
-    block's slope and constant are summed at once in another order.  Every
-    term is non-negative, so a slope is positive exactly when the exact one
-    is, and each sum is off by at most K*L + K + L unit roundoffs relative to
-    its value.  With x = D less the two fronts' supply, theta = (x - const)
-    / slope then moves by at most about three times that many roundoffs of
+    block [a..b] in capacity segment m.  A block holds one only if its slope
+    is positive and its theta range meets the segment.  Here every block's
+    slope and constant are summed at once in another order.  Every term is
+    non-negative, so a slope is positive exactly when the exact one is, and
+    each sum is off by at most K*L + K + L unit roundoffs relative to its
+    value.  With x = D less the two fronts' supply, theta = (x - const) /
+    slope then moves by at most about three times that many roundoffs of
     (|x| + const) / slope, which also bounds |theta| and so the rounding at
-    each threshold.  The slack is ten times that, so every block the exact
-    checks keep passes.
+    each threshold.  The slack is ten times that, so every block with a
+    theta inside its segment passes.
     """
     K, L = len(before), caps.size
     s_before, s_after = (
@@ -256,8 +256,8 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     >= m+1 and the rows after it at levels <= m, so any prefix pairs with
     any suffix, theta follows from supply == D, and the objective there is
     lin.  Per (a, b, m) the best pair with theta in the segment is kept.
-    Blocks whose slope is 0 are skipped, and those that pass
-    ``_crossing_screen`` get the exact theta checks and pairing.
+    The blocks that pass ``_crossing_screen`` are paired, and the exact
+    theta test is the pairing's own.
     """
     K, L = coef.shape
     suffix, points = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
@@ -288,11 +288,6 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
         const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
         gP, sP, levP = before[a][m]
         gQ, sQ, levQ = after[b][m]
-        # fronts run in increasing s, and theta falls as s rises
-        if (D - (sP[0] + sQ[0]) - const) / slope < G[m] - 1e-12:
-            continue
-        if (D - (sP[-1] + sQ[-1]) - const) / slope > G[m + 1] + 1e-12:
-            continue
         theta = (D - (sP[:, None] + sQ[None, :]) - const) / slope
         inside = (theta >= G[m] - 1e-12) & (theta <= G[m + 1] + 1e-12)
         if not inside.any():

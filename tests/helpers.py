@@ -20,7 +20,18 @@ from buyback import (
     optimal_payment_multi,
 )
 from buyback.cli import _number
-from buyback.feasibility import _truthful_utilities
+from buyback.feasibility import (
+    AUDIT_TOL,
+    AuditReport,
+    _best_affordable_utility,
+    _check_args,
+    _feasibility_margin,
+    _ic_full_margin,
+    _regret,
+    _truthful_utilities,
+    _valuation_monotone_margin,
+    regret_bound,
+)
 from buyback.model import check_shapes, client_utility, provider_expected_utility
 from buyback.payments import CLAMP_TOL, PreconditionError
 from buyback.simulation import (
@@ -882,6 +893,117 @@ def ic_capacity_margin_reference(grid: TypeGrid, contract: Contract, tol: float)
             slack = truth[rows, l] - truth[rows, l2]
             worst = min(worst, float(np.min(slack)))
     return 0.0 if worst is math.inf else worst
+
+
+def ir_margin_reference(grid: TypeGrid, contract: Contract) -> float:
+    return float(np.min(_truthful_utilities(grid, contract)))
+
+
+def top_ir_margin_reference(grid: TypeGrid, contract: Contract) -> float:
+    return float(np.min(_truthful_utilities(grid, contract)[-1, :]))
+
+
+def check_theorem1_reference(
+    grid: TypeGrid,
+    contract: Contract,
+    tol: float = AUDIT_TOL,
+    epsilon: float = 0.0,
+) -> AuditReport:
+    """The audit with every verdict compared by hand and the worst violation
+    found by a loop, over the loop references of the greedy, squeeze and
+    decomposed-IC margins."""
+    _check_args(grid, contract, tol)
+
+    feas_margin = _feasibility_margin(grid, contract)
+    mono_margin, maximal_margin = greedy_margins_reference(grid, contract, tol)
+    p2_margin = _valuation_monotone_margin(grid, contract)
+    p3_margin = squeeze_margin_reference(grid, contract)
+    ic_val_margin = ic_valuation_margin_reference(grid, contract)
+    ic_cap_margin = ic_capacity_margin_reference(grid, contract, tol)
+    # joint IC at c + tol and regret at c gather from one prefix maximum
+    truth = _truthful_utilities(grid, contract)
+    best_at_tol, best_at_cap = _best_affordable_utility(grid, contract, (tol, 0.0))
+    ic_margin = _ic_full_margin(truth, best_at_tol)
+    ir_margin = ir_margin_reference(grid, contract)
+    p5_margin = top_ir_margin_reference(grid, contract)
+
+    margins = {
+        "p1": feas_margin,
+        "p2": p2_margin,
+        "p3": p3_margin,
+        "p4": ic_cap_margin,
+        "p5": p5_margin,
+        "p6": max(mono_margin, maximal_margin),
+        "resource_feasible": feas_margin,
+        "greedy_monotone": mono_margin,
+        "greedy_maximal": maximal_margin,
+        "ic_valuation": ic_val_margin,
+        "ic_capacity": ic_cap_margin,
+        "ic_full": ic_margin,
+        "ir": ir_margin,
+    }
+
+    worst_id, worst_mag = "none", 0.0
+    for key in ("p1", "p2", "p3", "p4", "p5", "p6", "ic_full", "ir"):
+        margin = margins[key]
+        violation = max(margin, 0.0) if key in ("p1", "p2", "p6") else max(-margin, 0.0)
+        if violation > worst_mag:
+            worst_id, worst_mag = key, violation
+
+    return AuditReport(
+        resource_feasible=feas_margin <= tol,
+        greedy_monotone=mono_margin <= tol,
+        greedy_maximal=maximal_margin <= tol,
+        ic_valuation=ic_val_margin >= -tol,
+        ic_capacity=ic_cap_margin >= -tol,
+        ic_full=ic_margin >= -tol,
+        ir=ir_margin >= -tol,
+        p1=feas_margin <= tol,
+        p2=p2_margin <= tol,
+        p3=p3_margin >= -tol,
+        p4=ic_cap_margin >= -tol,
+        p5=p5_margin >= -tol,
+        p6=mono_margin <= tol and maximal_margin <= tol,
+        margins=margins,
+        worst_violation=(worst_id, worst_mag),
+        regret=_regret(truth, best_at_cap),
+        regret_bound=regret_bound(grid, epsilon),
+    )
+
+
+def audit_dict_reference(report: AuditReport) -> dict:
+    return {
+        "feasible": report.feasible,
+        "p1": report.p1,
+        "p2": report.p2,
+        "p3": report.p3,
+        "p4": report.p4,
+        "p5": report.p5,
+        "p6": report.p6,
+        "resource_feasible": report.resource_feasible,
+        "greedy_monotone": report.greedy_monotone,
+        "greedy_maximal": report.greedy_maximal,
+        "ic_valuation": report.ic_valuation,
+        "ic_capacity": report.ic_capacity,
+        "ic_full": report.ic_full,
+        "ir": report.ir,
+        "margins": report.margins,
+        "worst_violation": list(report.worst_violation),
+        "regret": report.regret,
+        "regret_bound": report.regret_bound,
+    }
+
+
+def summary_dict_reference(summary: SimulationSummary) -> dict:
+    return {
+        "mean_utility": summary.mean_utility,
+        "std_error": summary.std_error,
+        "mean_total_repurchase": summary.mean_total_repurchase,
+        "shortfall_frequency": summary.shortfall_frequency,
+        "item_counts": summary.item_counts.tolist(),
+        "opt_out_count": summary.opt_out_count,
+        "replications": summary.replications,
+    }
 
 
 def matrix_reference(value, key: str, rows: int, cols: int) -> np.ndarray:

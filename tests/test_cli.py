@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from buyback import Contract, MarketInstance, SolveMethod, SolveResult, ValidationError
+from buyback import (
+    Contract,
+    MarketInstance,
+    SimulationConfig,
+    SolveMethod,
+    SolveResult,
+    ValidationError,
+    simulate,
+)
 from buyback import cli as cli_mod
 from buyback.cli import _build_parser, _matrix, main, parse_instance, solve_report
 from buyback.feasibility import AUDIT_TOL
@@ -20,6 +28,8 @@ from helpers import (
     menu_rows_reference,
     print_menu_reference,
     random_instance,
+    random_menu,
+    summary_dict_reference,
     write_out_reference,
 )
 
@@ -451,6 +461,17 @@ def assert_report_bytes(tmp_path, capsys, argv, instance, solve):
     menu = capsys.readouterr().out
     assert printed.startswith(menu)
     assert printed.count("\n") == menu.count("\n") + (3 if argv[0] == "solve" else 2)
+
+
+def test_summary_dict_matches_reference():
+    rng = np.random.default_rng(89)
+    for i in range(8):
+        instance = random_instance(rng, max_k=4, max_l=3, integer=i % 2 == 0)
+        contract = random_menu(rng, instance.grid, ("feasible", "perturbed", "integer")[i % 3])
+        tie_break = ("truthful_first", "max_payment")[i % 2]
+        summary = simulate(instance, contract, SimulationConfig(50, seed=i, tie_break=tie_break))
+        got = list(cli_mod._summary_dict(summary).items())
+        assert repr(got) == repr(list(summary_dict_reference(summary).items()))
 
 
 def test_solve_and_oracle_bytes_match_reference_rendering(tmp_path, capsys, monkeypatch):

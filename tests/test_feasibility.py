@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from buyback import feasibility
 
 from buyback import (
+    AuditReport,
     Contract,
     TypeGrid,
     ValidationError,
@@ -21,11 +23,12 @@ from buyback import (
     compute_regret,
     regret_bound,
 )
+from buyback.cli import audit_dict
 from helpers import (
+    audit_dict_reference,
+    check_theorem1_reference,
     greedy_allocation,
-    greedy_margins_reference,
     ic_capacity_margin_reference,
-    ic_valuation_margin_reference,
     perturb_contract,
     random_feasible_contract,
     random_grid,
@@ -323,12 +326,8 @@ def _with_signed_zeros(rng, contract):
 
 def _reference_audit(grid, contract, tol):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feasibility, "_greedy_margins", greedy_margins_reference)
-        mp.setattr(feasibility, "_squeeze_margin", squeeze_margin_reference)
-        mp.setattr(feasibility, "_ic_valuation_margin", ic_valuation_margin_reference)
-        mp.setattr(feasibility, "_ic_capacity_margin", ic_capacity_margin_reference)
         mp.setattr(feasibility, "_BLOCK_CELLS", 1 << 40)  # every table in one block
-        return check_theorem1(grid, contract, tol=tol)
+        return check_theorem1_reference(grid, contract, tol=tol)
 
 
 @pytest.mark.parametrize("block_cells", [None, 1, 40])
@@ -349,12 +348,12 @@ def test_audit_margins_match_loop_references(block_cells, monkeypatch):
         for tol in (0.0, 1e-9, 1e-6, 0.5):
             got = check_theorem1(grid, contract, tol=tol)
             ref = _reference_audit(grid, contract, tol)
-            assert got.margins == ref.margins
-            assert got.worst_violation == ref.worst_violation
             # repr tells -0.0 from 0.0: reports must match byte for byte
-            assert repr(got.margins) == repr(ref.margins)
-            assert repr(got.worst_violation) == repr(ref.worst_violation)
-            assert repr(got.regret) == repr(ref.regret)
+            for field in dataclasses.fields(AuditReport):
+                have, want = getattr(got, field.name), getattr(ref, field.name)
+                assert repr(have) == repr(want), field.name
+            have, want = audit_dict(got).items(), audit_dict_reference(ref).items()
+            assert repr(list(have)) == repr(list(want))
 
 
 @pytest.mark.parametrize("pair_cells", [1, 7, 40, None])
@@ -373,8 +372,9 @@ def test_pair_block_margins_match_loop_references(pair_cells, monkeypatch):
         contract = _with_signed_zeros(rng, contract)
         got = feasibility._squeeze_margin(grid, contract)
         assert repr(got) == repr(squeeze_margin_reference(grid, contract))
+        truth = feasibility._truthful_utilities(grid, contract)
         for tol in (0.0, 0.5):
-            got = feasibility._ic_capacity_margin(grid, contract, tol)
+            got = feasibility._ic_capacity_margin(grid, contract, truth, tol)
             assert repr(got) == repr(ic_capacity_margin_reference(grid, contract, tol))
 
 

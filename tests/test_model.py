@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import buyback
 from buyback import (
     OPT_OUT,
     AggregateWeights,
@@ -16,6 +17,26 @@ from buyback import (
     realized_provider_utility,
 )
 from helpers import point_mass_clients, random_feasible_contract, random_instance
+
+# The public names: a rename or removal here breaks callers, so it must be deliberate.
+PUBLIC_NAMES = [
+    "AUDIT_TOL", "AggregateWeights", "AuditReport", "CandidateCountError",
+    "ClientDistribution", "Contract", "MarketInstance", "OPT_OUT", "PreconditionError",
+    "SimulationConfig", "SimulationSummary", "SolveMethod", "SolveResult", "TypeGrid",
+    "ValidationError", "best_response", "check_ic_decomposed", "check_ic_full", "check_ir",
+    "check_resource_feasibility", "check_resource_greedy", "check_theorem1", "client_utility",
+    "column_payments", "compute_regret", "estimate_misreport_gain", "optimal_payment_multi",
+    "optimal_payment_single", "oracle_grid_search", "priced_contract",
+    "provider_expected_utility", "realized_provider_utility", "regret_bound",
+    "relaxed_schedule", "simulate", "solve_multi_reduced", "solve_multi_relaxed",
+    "solve_single_capacity",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 38
+    assert buyback.__all__ == PUBLIC_NAMES
+    assert all(hasattr(buyback, name) for name in PUBLIC_NAMES)
 
 
 def single_item(v, c, x, p):

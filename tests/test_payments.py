@@ -9,13 +9,16 @@ from buyback import (
     Contract,
     PreconditionError,
     TypeGrid,
+    ValidationError,
     check_ic_full,
     check_ir,
     check_theorem1,
     column_payments,
     optimal_payment_multi,
     optimal_payment_single,
+    priced_contract,
 )
+from buyback.payments import CLAMP_TOL
 from helpers import (
     column_payments_reference,
     greedy_allocation,
@@ -253,3 +256,39 @@ def test_column_payments_match_reference_bitwise():
         ref = priced_or_message(column_payments_reference, grid.valuations, x, cap, tol)
         got = priced_or_message(column_payments, grid.valuations, x, cap, tol)
         assert_same_outcome(got, ref)
+
+
+BAD_TOLS = (float("nan"), float("inf"), float("-inf"), -1.0)
+GRID_L2 = TypeGrid([1.0, 2.0], [1.0, 2.0])
+# Each payment rule's payments for a priced greedy allocation, at a given tol.
+PAYMENT_RULES = {
+    "column_payments": lambda tol: column_payments([1.0, 2.0], [1.0, 0.5], 1.0, tol=tol),
+    "optimal_payment_single": lambda tol: optimal_payment_single(
+        TypeGrid([1.0, 2.0], [1.0]), [1.0, 0.5], tol=tol
+    ),
+    "optimal_payment_multi": lambda tol: optimal_payment_multi(
+        GRID_L2, [[1.0, 2.0], [0.5, 0.5]], tol=tol
+    ),
+    "priced_contract": lambda tol: priced_contract(
+        GRID_L2, [[1.0, 2.0], [0.5, 0.5]], tol=tol
+    ).payment,
+}
+
+
+@pytest.mark.parametrize("rule", PAYMENT_RULES)
+def test_payment_rules_reject_a_tol_that_is_not_finite_and_non_negative(rule):
+    # A NaN tol passed every precondition and a negative one raised a P1 error
+    for tol in BAD_TOLS:
+        with pytest.raises(ValidationError, match="must be finite and non-negative"):
+            PAYMENT_RULES[rule](tol)
+    assert np.array_equal(PAYMENT_RULES[rule](0.0), PAYMENT_RULES[rule](CLAMP_TOL))
+
+
+def test_nan_tol_no_longer_prices_an_invalid_allocation():
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="tol = nan"):
+        column_payments([1.0, 2.0], [0.5, 9.0], 1.0, tol=nan)  # x = 9 > c = 1
+    with pytest.raises(ValidationError, match="tol = nan"):
+        optimal_payment_multi(GRID_L2, [[0.5, 2.0], [1.0, 0.0]], tol=nan)  # P2 fails at l = 0
+    with pytest.raises(PreconditionError, match="P2 violated"):
+        optimal_payment_multi(GRID_L2, [[0.5, 2.0], [1.0, 0.0]])

@@ -81,6 +81,14 @@ def test_best_response_max_payment_tie_break():
     assert best_response(grid, contract, (0, 0), tie_break="max_payment") == (0, 1)
 
 
+def test_best_response_rejects_a_tol_that_is_not_finite_and_non_negative():
+    # With a NaN tol nothing counted as tied with the best, so every type opted out
+    for tol in (float("nan"), float("inf"), float("-inf"), -1.0):
+        with pytest.raises(ValidationError, match="must be finite and non-negative"):
+            best_response(GRID_K2, IC_CONTRACT, (1, 0), tol=tol)
+    assert best_response(GRID_K2, IC_CONTRACT, (1, 0), tol=0.0) == (1, 0)
+
+
 def test_best_response_never_exceeds_capacity():
     rng = np.random.default_rng(109)
     for _ in range(100):
