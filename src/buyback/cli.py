@@ -13,7 +13,8 @@ Numbers are serialized at full round-trip precision; human-readable tables
 render at 6 significant digits.  Exit codes: 0 success/feasible, 1 infeasible
 contract, 2 invalid input, 3 internal failure.  Environment variables are
 never consulted.  A process that calls ``main`` repeatedly re-parses an input
-file only when its text changes.
+file only when its bytes change: the last parse of each kind of file is kept
+with the file's bytes, and a read that finds the same bytes reuses it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -70,31 +70,33 @@ _REQUIRED_INSTANCE_KEYS = (
 
 
 #: The last successful parse of each kind of input file: kind -> (key, result).
-#: The key is the SHA-256 digest of the text plus, for a contract, the grid
-#: shape it was read against, so a changed file is parsed again whatever its
-#: path, inode or mtime.  Results are frozen, so commands may share them.
+#: The key is the file's bytes plus, for a contract, the grid shape it was
+#: read against, so a changed file is parsed again whatever its path, inode
+#: or mtime.  Results are frozen, so commands may share them.
 _parsed: dict[str, tuple[tuple, object]] = {}
 
 
 def _load_json(path: str, grid: TypeGrid | None = None):
     """``parse_instance`` of the JSON in ``path``, or with a ``grid`` its
-    ``parse_contract``, taken from ``_parsed`` while the text is unchanged."""
+    ``parse_contract``, taken from ``_parsed`` while the bytes are unchanged."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     kind = "instance" if grid is None else "contract"
     shape = None if grid is None else (grid.num_valuations, grid.num_capacities)
-    key = (hashlib.sha256(text.encode()).digest(), shape)
+    key = (data, shape)
     last = _parsed.get(kind)
     if last is not None and last[0] == key:
         return last[1]
     try:
+        # What text-mode open(path, encoding="utf-8") reads: strict UTF-8, universal newlines.
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         doc = json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+    except ValueError as exc:  # not UTF-8, malformed, or an integer past the digit limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     # Looked up at call time, so a wrapper swapped into this module sees the call.
     result = parse_instance(doc) if grid is None else parse_contract(doc, grid)

@@ -47,10 +47,10 @@ VERDICT_KEYS = ("p1", "p2", "p3", "p4", "p5", "p6", "ic_full", "ir")
 _EXCESS_KEYS = ("p1", "p2", "p6", "resource_feasible", "greedy_monotone", "greedy_maximal")
 
 # Cells per block of the (rows, K*L) tables behind the IC checks and regret,
-# so an audit's memory stays O(K*L).  Blocks of 2^16 cells (512 KB of floats)
+# so an audit's memory stays O(K*L).  Blocks of 2^15 cells (256 KB of floats)
 # stay in cache: at K, L in 30..60, blocks of 2^18 cells made regret and the
-# simulator's choice tables take twice as long, and the whole audit 1.4 times.
-_BLOCK_CELLS = 1 << 16
+# simulator's choice tables take twice as long, and 2^16 the audit 1.3 times.
+_BLOCK_CELLS = 1 << 15
 # Cells per block of the decomposed checks' pair tables (squeeze and capacity IC),
 # small enough that their temporaries stay in cache: at 60 x 60, squeeze blocks
 # of 2^18 cells took twice as long, and capacity-IC ones raised the peak RSS.

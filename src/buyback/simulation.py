@@ -2,9 +2,11 @@
 
 Samples client types, plays each client's best response (affordable items
 only, opt-out allowed), and aggregates realized provider utility.  Sampling
-uses a counter-based generator (Philox keyed by the seed, one uniform per
-(replication, client) cell), so results are reproducible and independent of
-evaluation order; aggregation is a fixed-order vectorized reduction.
+uses a counter-based generator (Philox keyed by the seed, one 64-bit word per
+(replication, client) cell, read as the uniform u = (word >> 11) * 2**-53
+that ``Generator.random`` makes of it), so results are reproducible and
+independent of evaluation order; aggregation is a fixed-order vectorized
+reduction.
 
 Best responses are tabulated per type before any draw.  In the default
 ``truthful_first`` mode most types keep their own item, and whether one does
@@ -13,16 +15,21 @@ the regret audit uses: O(K^2 L) work for the whole grid, against O((K L)^2)
 for comparing every item.  Only the other types, and every type in
 ``max_payment`` mode, compare all K*L items.
 
-A uniform becomes a type by inverse CDF through a bucketed guide table
-(indexed search; Chen & Asau, 1974): one gather from a table of 2**16 small
-integers gives the type of every draw whose bucket holds no cumulative
-probability, and the marker -1 sends the others to a binary search, so every
-draw equals ``searchsorted(cum, u, side="right")`` capped at the last type.
-Replications are drawn, looked up and aggregated in fixed blocks.  Philox
-fills arrays sequentially and every per-replication total is a row-local
-sum, so the blocks change no bit of the result; what stays resident is the
-lookup tables, one block of cells, and 16 bytes per replication (its total
-repurchase and its utility).
+A word becomes a type by inverse CDF through a bucketed guide table
+(indexed search; Chen & Asau, 1974): the word's top 16 bits are u's bucket,
+and one gather from a table of 2**16 small integers gives the type of every
+draw whose bucket holds no cumulative probability.  Only the other draws
+become doubles: a bucket holding one cumulative value settles them by one
+compare against it, one holding several by a binary search, so every draw
+equals ``searchsorted(cum, u, side="right")`` capped at the last type.
+Replications are drawn, looked up and aggregated in fixed blocks of raw
+words, regrouped client-major: one row of draws per client.  Philox hands
+out its words in sequence however they are grouped, and each
+per-replication total is numpy's pairwise sum over the clients, taken with
+whole client rows for terms from one complex table x + 1j p, so one gather
+serves both totals and the blocks change no bit of the result.  What stays
+resident is the lookup tables, one block of cells, and 16 bytes per
+replication (its total repurchase and its utility).
 """
 
 from __future__ import annotations
@@ -142,49 +149,68 @@ def best_response(
 
 
 def _guide_table(cum: np.ndarray) -> np.ndarray:
-    """table[b] = the type of every u in [b / _BUCKETS, (b + 1) / _BUCKETS), or -1.
+    """table[b] = the type of every u in [b / _BUCKETS, (b + 1) / _BUCKETS),
+    or a negative code for a split bucket.
 
     A cumulative value c counts from bucket edge ceil(c * _BUCKETS) on, and
     type j covers the edges from where cum[j - 1] counts up to where cum[j]
     does; the last type covers the rest, which caps a draw at len(cum) - 1.
     A value that counts from edge b + 1 falls inside bucket b, whose draws
-    then need the search: its entry is -1.  Entries lie in [-1, len(cum)),
-    so the dtype is the narrowest signed integer holding -len(cum): one
-    byte up to 128 types, two up to 32,768.
+    then need a compare: its entry is -1 - j when cum[j] is the only such
+    value, and -len(cum) when there are several.  Entries lie in
+    [-len(cum), len(cum)), so the dtype is the narrowest signed integer
+    holding -len(cum): one byte up to 128 types, two up to 32,768.
     """
     first = np.clip(np.ceil(cum[:-1] * _BUCKETS), 0, _BUCKETS + 1).astype(np.intp)
     edges = np.diff(first, prepend=0, append=_BUCKETS + 1)
     table = np.repeat(np.arange(len(cum), dtype=np.min_scalar_type(-len(cum))), edges)
-    table[first[(first > 0) & (first <= _BUCKETS)] - 1] = -1
+    inside = np.flatnonzero((first > 0) & (first <= _BUCKETS))
+    split = first[inside] - 1  # nondecreasing, as cum is
+    table[split] = -1 - inside
+    table[split[1:][split[1:] == split[:-1]]] = -len(cum)  # a bucket met twice
     return table[:_BUCKETS]
 
 
-def _lookup(cum: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """min(searchsorted(cum, u, side="right"), len(cum) - 1) for u in [0, 1)."""
-    idx = table[(u * _BUCKETS).astype(np.intp)]
+def _lookup(cum: np.ndarray, table: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """min(searchsorted(cum, u, side="right"), len(cum) - 1) for the doubles
+    u = (words >> 11) * 2**-53 that ``Generator.random`` makes of Philox words.
+
+    The bucket of u is its top 16 bits, words >> 48; only the words that land
+    in a split bucket become doubles.  Types come in the table's dtype.
+    """
+    idx = table[(words >> 48).view(np.intp)]
     split = np.flatnonzero(idx < 0)
+    u = (words[split] >> 11) * 2.0**-53
+    j = -1 - idx[split].astype(np.intp)  # cum[j] is the bucket's one value
+    found = j + (u >= cum[j])
+    several = np.flatnonzero(j == len(cum) - 1)
     # Without its last value the search stops at len(cum) - 1.
-    idx[split] = np.searchsorted(cum[:-1], u[split], side="right")
+    found[several] = np.searchsorted(cum[:-1], u[several], side="right")
+    idx[split] = found
     return idx
 
 
 def _type_blocks(instance: MarketInstance, config: SimulationConfig):
-    """(rows, n) flat type indices, l-major, drawn per client, one block of
-    consecutive replications at a time."""
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    """(n, rows) flat type indices, l-major, client-major: row i holds client
+    i's draws for one block of consecutive replications, the same as
+    ``Generator.random((rows, n))`` would give column i."""
+    bitgen = np.random.Philox(key=config.seed)
     cums = [np.cumsum(client.probs.ravel()) for client in instance.clients]
     tables = [_guide_table(cum) for cum in cums]
+    n = instance.num_clients
     for lo in range(0, config.replications, _BLOCK):
-        u = rng.random((min(_BLOCK, config.replications - lo), instance.num_clients))
-        types = np.empty(u.shape, dtype=np.intp)
+        rows = min(_BLOCK, config.replications - lo)
+        # Replication-major, as Generator.random((rows, n)) consumes them.
+        words = bitgen.random_raw(rows * n).reshape(rows, n).T
+        types = np.empty((n, rows), dtype=np.intp)
         for i, (cum, table) in enumerate(zip(cums, tables)):
-            types[:, i] = _lookup(cum, table, u[:, i])
+            types[i] = _lookup(cum, table, words[i])
         yield types
 
 
 def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise_sum, less its 0.0 start, of the n gathered columns
-    ``values[types[:, lo + i]]``: below 8 terms in sequence; up to 128, eight
+    """numpy's pairwise_sum, less its 0.0 start, of the n gathered rows
+    ``values[types[lo + i]]``: below 8 terms in sequence; up to 128, eight
     lanes, their tree, then the rest in sequence; past 128, two halves split
     at a multiple of 8."""
     if n > 128:
@@ -193,30 +219,43 @@ def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.
         total += _pairwise_sum(values, types, lo + half, n - half)
         return total
     if n < 8:
-        total = values[types[:, lo]]
+        total = values[types[lo]]
         for i in range(lo + 1, lo + n):
-            total += values[types[:, i]]
+            total += values[types[i]]
         return total
     end = lo + n - n % 8
-    r = [values[types[:, lo + j]] for j in range(8)]
-    for i in range(lo + 8, end, 8):
-        for j in range(8):
-            r[j] += values[types[:, i + j]]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
+    # Eight lanes, lane j summing rows lo + j, lo + j + 8, ... in sequence,
+    # then their tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)).  One lane at a
+    # time, each finished pair joined at once, so at most four rows are live.
+    lanes = []
+    for j in range(8):
+        lane = values[types[lo + j]]
+        for i in range(lo + j + 8, end, 8):
+            lane += values[types[i]]
+        lanes.append(lane)
+        size = j + 1
+        while size % 2 == 0:
+            right = lanes.pop()
+            lanes[-1] += right
+            size //= 2
+    (total,) = lanes
     for i in range(end, lo + n):
-        r[0] += values[types[:, i]]
-    return r[0]
+        total += values[types[i]]
+    return total
 
 
 def _row_sums(values: np.ndarray, types: np.ndarray) -> np.ndarray:
-    """``values[types].sum(axis=1)`` bit for bit, one gathered column at a time.
+    """For client-major ``types``, the row sums of the replication-major
+    gather, ``values[np.ascontiguousarray(types.T)].sum(axis=1)``, bit for
+    bit, one gathered client row at a time.
 
     numpy sums a row as its identity 0.0 plus the row's pairwise_sum.  The
-    same tree with whole columns for terms skips the per-row call overhead
-    of summing many short rows.
+    same tree with whole client rows for terms skips the per-row call
+    overhead of summing many short rows.  For a complex table each add is
+    two independent IEEE adds, so the real and imaginary parts each keep
+    the tree of their own float table.
     """
-    total = _pairwise_sum(values, types, 0, types.shape[1])
+    total = _pairwise_sum(values, types, 0, types.shape[0])
     total += 0.0  # the identity: turns a -0.0 total into 0.0
     return total
 
@@ -266,17 +305,19 @@ def simulate(
     check_shapes(instance.grid, contract)
     K, L = instance.grid.num_valuations, instance.grid.num_capacities
     chosen_x, chosen_p, codes = _choice_tables(instance, contract, config.tie_break)
+    chosen = np.empty(len(codes), dtype=complex)  # x + 1j p: one gather for both
+    chosen.real, chosen.imag = chosen_x, chosen_p
 
     R = config.replications
     total_x = np.empty(R)
     utility = np.empty(R)
     type_counts = np.zeros(len(codes), dtype=np.intp)
     for lo, types in zip(range(0, R, _BLOCK), _type_blocks(instance, config)):
-        rows = slice(lo, lo + len(types))
-        total_x[rows] = _row_sums(chosen_x, types)  # row sums: the same bits in any block
-        total_p = _row_sums(chosen_p, types)
-        shortfall = np.minimum(0.0, total_x[rows] - instance.demand_floor)
-        utility[rows] = instance.alpha * total_x[rows] - total_p + instance.penalty * shortfall
+        rows = slice(lo, lo + types.shape[1])
+        total = _row_sums(chosen, types)  # row sums: the same bits in any block
+        total_x[rows] = total.real
+        shortfall = np.minimum(0.0, total.real - instance.demand_floor)
+        utility[rows] = instance.alpha * total.real - total.imag + instance.penalty * shortfall
         type_counts += np.bincount(types.ravel(), minlength=len(codes))
 
     mean = float(utility.mean())

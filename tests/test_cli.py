@@ -666,6 +666,86 @@ def test_same_size_rewrite_with_its_mtime_restored_is_parsed_again(tmp_path, cap
     assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+def test_one_byte_rewrite_of_the_instance_in_place_is_parsed_again(tmp_path, capsys, parses):
+    path = tmp_path / "inst.json"
+    inst = write_json(path, INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    command = ("simulate", inst, contract, "--replications", "100")  # reports alpha's effect
+    first = _in_process(capsys, *command)
+    before = path.stat()
+    at = path.read_bytes().index(b'"alpha": 2.5') + len('"alpha": ')
+    with open(path, "r+b") as fh:  # alpha 2.5 -> 3.5: one byte, same length, same inode
+        fh.seek(at)
+        fh.write(b"3")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns)
+    second = _in_process(capsys, *command)
+    assert parses == {"parse_instance": 2, "parse_contract": 1}
+    assert second != first
+    fresh = run_cli(*command)
+    assert second == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# Each file's message as text-mode open(path, encoding="utf-8") and json.loads
+# give it: strict UTF-8, universal newlines, the BOM left in the text.
+_BAD_FILES = {
+    "crlf": (b'{\r\n"valuations": [1.0, 2.0],\r\n"capacities": [5.0 10.0]\r\n}',
+             "Expecting ',' delimiter: line 3 column 20 (char 47)"),
+    "cr": (b'{\r"valuations": [1.0, 2.0],\r"capacities": [5.0 10.0]\r}',
+           "Expecting ',' delimiter: line 3 column 20 (char 47)"),
+    "mixed": (b'{\r\n\r"valuations":\n\r\n [1.0, 2.0],\r"capacities": [5.0 10.0]\r\n}',
+              "Expecting ',' delimiter: line 6 column 20 (char 50)"),
+    "cr in a string": (b'{"valuations\r\n": [1.0]}',
+                       "Invalid control character at: line 1 column 13 (char 12)"),
+    "bom": (b"\xef\xbb\xbf{}",
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "latin-1": (b'{"valuations": "\xe9"}',
+                "'utf-8' codec can't decode byte 0xe9 in position 16: invalid continuation byte"),
+    "late bad byte": (b'{\r\n"valuations": [1.0, 2.0],\r\n "x": "\xff\xfe"}',
+                      "'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"),
+    "cut short": (b'{"a": 1}\xe2\x82',
+                  "'utf-8' codec can't decode bytes in position 8-9: unexpected end of data"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_FILES))
+def test_crlf_bom_and_invalid_utf8_files_keep_their_messages(tmp_path, capsys, parses, name):
+    data, message = _BAD_FILES[name]
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    for _ in range(2):  # a failure is kept nowhere: the second read fails alike
+        assert _in_process(capsys, "oracle", str(path)) == (
+            2, "", f"error: {path} is not valid JSON: {message}\n")
+    assert parses == {"parse_instance": 0, "parse_contract": 0}
+
+
+def test_crlf_and_cr_files_parse_as_their_lf_text(tmp_path, capsys, parses):
+    lf = json.dumps(INSTANCE_L2, indent=1).encode()
+    outputs = []
+    for i, data in enumerate((lf, lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r"))):
+        path = tmp_path / f"inst{i}.json"
+        path.write_bytes(data)
+        outputs.append(_in_process(capsys, "oracle", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert parses == {"parse_instance": 3, "parse_contract": 0}  # keyed by bytes, not text
+
+
+def test_a_failed_parse_is_not_kept(tmp_path, capsys, parses):
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    good = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    bad = write_json(tmp_path / "bad.json", {**_CONTRACT_L2, "payment": [[6.0, 6.0], [4.0, "4"]]})
+    assert _in_process(capsys, "regret", inst, good)[0] == 0
+    kept = cli_mod._parsed["contract"]
+    for _ in range(2):
+        assert _in_process(capsys, "regret", inst, bad)[0] == 2
+        assert cli_mod._parsed["contract"] is kept
+    assert _in_process(capsys, "regret", inst, good)[0] == 0
+    assert parses == {"parse_instance": 1, "parse_contract": 3}
+
+
 def test_solve_out_over_the_contract_file_is_seen(tmp_path, capsys, parses):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     path = tmp_path / "c.json"

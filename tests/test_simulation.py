@@ -303,6 +303,17 @@ def test_misreport_gain_bounded_by_regret():
         )
 
 
+def test_misreport_gain_reads_every_block():
+    rng = np.random.default_rng(457)
+    config = SimulationConfig(replications=2 * _BLOCK + 7, seed=11)
+    for i in range(8):
+        inst = random_instance(rng, max_k=4, max_l=4, max_n=3, point_mass=i % 2 == 0)
+        contract = perturb_contract(rng, inst.grid, random_feasible_contract(rng, inst.grid))
+        types = sample_type_indices_reference(inst, config)
+        assert estimate_misreport_gain(inst, contract, config) == regret_bruteforce(
+            inst.grid, contract, types)
+
+
 def _adversarial_clients(rng, grid, family, n):
     """Client distributions that stress the guide-table sampler."""
     L, K = grid.num_capacities, grid.num_valuations
@@ -339,11 +350,37 @@ def test_sampler_matches_searchsorted_reference(replications):
         inst = MarketInstance(grid, clients, 1.0, 0.0, 0.0)
         config = SimulationConfig(replications=replications, seed=int(rng.integers(2**63)))
         blocks = list(_type_blocks(inst, config))
-        assert all(len(b) <= _BLOCK for b in blocks)
-        types = np.concatenate(blocks)
+        # Client-major: one contiguous row of at most _BLOCK draws per client.
+        assert all(b.shape[0] == len(clients) and b.shape[1] <= _BLOCK for b in blocks)
+        assert all(b.flags.c_contiguous for b in blocks)
+        types = np.concatenate(blocks, axis=1)
         assert types.dtype == np.intp
-        assert np.array_equal(types, sample_type_indices_reference(inst, config))
+        assert np.array_equal(types.T, sample_type_indices_reference(inst, config))
     assert short_clients > 0  # rounding leaves some cumulative tables short of 1
+
+
+def _words(k: np.ndarray, rng) -> np.ndarray:
+    """Philox words whose doubles (word >> 11) * 2**-53 are k * 2**-53; the
+    11 low bits, which no double keeps, are random."""
+    k = np.asarray(k, dtype=np.uint64)
+    return (k << np.uint64(11)) | rng.integers(0, 2**11, size=k.shape, dtype=np.uint64)
+
+
+def test_philox_words_become_generator_doubles():
+    # The sampler turns raw Philox words into Generator.random's doubles by
+    # (word >> 11) * 2**-53; a numpy that maps words another way fails here.
+    for seed in (0, 1, 409, 2**63 + 5, 2**64 - 1):
+        for m in (1, 3, 4, 5, 7, 8191, 8192, 81_923):
+            words = np.random.Philox(key=seed).random_raw(m)
+            doubles = np.random.Generator(np.random.Philox(key=seed)).random(m)
+            assert ((words >> 11) * 2.0**-53).tobytes() == doubles.tobytes()
+        # Consecutive (rows, n) blocks of words, at sizes off the 4-word
+        # Philox output, continue one stream as Generator.random's do.
+        bitgen = np.random.Philox(key=seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for rows, n in ((3, 1), (5, 3), (2, 7), (8192, 10), (1, 1)):
+            words = bitgen.random_raw(rows * n).reshape(rows, n)
+            assert ((words >> 11) * 2.0**-53).tobytes() == rng.random((rows, n)).tobytes()
 
 
 def test_guide_table_lookup_at_edges():
@@ -357,22 +394,33 @@ def test_guide_table_lookup_at_edges():
         np.concatenate([edge_grid, [1.0 - 2.0**-40]]),  # short of 1
         np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.0 + 2.0**-52]),  # repeats, above 1
         np.array([0.5, 1.0 - 2.0**-20, 1.0 - 2.0**-40]),  # last bucket split, short of 1
+        # 2**-70 above a lattice double: a draw's double must be exact.
+        np.array([2.0**-50 + 2.0**-70, 1.0]),  # one value in bucket 0
+        np.array([2.0**-50 + 2.0**-70, 2.0**-49 + 2.0**-70, 0.5, 1.0]),  # two in bucket 0
     ]
+    one_value = several_values = False
     for cum in tables:
         cum = np.sort(cum)
-        probes = [
-            np.arange(_BUCKETS) / _BUCKETS,  # every bucket edge b / B
-            np.nextafter(np.arange(1, _BUCKETS + 1) / _BUCKETS, 0.0),  # just below each edge
-            cum,
-            np.nextafter(cum, -np.inf),
-            np.nextafter(cum, np.inf),
-            np.array([cum[-1], (cum[-1] + 1.0) / 2.0, np.nextafter(1.0, 0.0)]),
-            rng.random(10_000),
-        ]
-        u = np.concatenate(probes)
-        u = u[(u >= 0.0) & (u < 1.0)]
+        table = _guide_table(cum)
+        # A split bucket holding one cumulative value is settled by one compare.
+        one_value |= bool(np.any((table < 0) & (table > -len(cum))))
+        several_values |= bool(np.any(table == -len(cum)))
+        below = np.floor(cum * 2.0**53)  # the last lattice double at or below each value
+        k = np.concatenate([
+            np.arange(_BUCKETS) << 37,  # every bucket edge b / B
+            (np.arange(1, _BUCKETS + 1) << 37) - 1,  # 2**-53 below each edge
+            below - 1, below, below + 1,  # at, just below and just above each value
+            [2**53 - 1],  # the largest double below 1
+            rng.integers(0, 2**53, 10_000),
+        ])
+        k = k[(k >= 0) & (k < 2**53)]
+        u = k * 2.0**-53
         expected = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-        assert np.array_equal(_lookup(cum, _guide_table(cum), u), expected)
+        words = _words(k, rng)
+        assert np.array_equal(_lookup(cum, table, words), expected)
+        # The sampler passes each client's words as a strided column.
+        assert np.array_equal(_lookup(cum, table, np.column_stack([words] * 3)[:, 1]), expected)
+    assert one_value and several_values
 
 
 @pytest.mark.parametrize("num_types", [127, 128, 129, 255, 256, 257, 32_767, 32_768, 32_769])
@@ -390,7 +438,7 @@ def test_sampler_at_table_dtype_edges(num_types):
     assert table.dtype == narrowest
     assert 0 < np.sum(table < 0) < _BUCKETS
     config = SimulationConfig(replications=3000, seed=num_types)
-    types = np.concatenate(list(_type_blocks(inst, config)))
+    types = np.concatenate(list(_type_blocks(inst, config)), axis=1).T
     assert np.array_equal(types, sample_type_indices_reference(inst, config))
     assert types.max() == num_types - 1
 
@@ -417,19 +465,24 @@ def test_streamed_simulation_matches_whole_array_reference(tie_break):
 @pytest.mark.parametrize(
     "n", [*range(1, 40), 127, 128, 129, 200, 255, 256, 257, 300, 1000])
 def test_row_sums_match_numpy_sum_bitwise(n):
-    # The column-wise tree restates numpy's own pairwise summation; a numpy
+    # The row-wise tree restates numpy's own pairwise summation; a numpy
     # that sums rows another way fails here first.  Magnitudes 1e-20..1e20
     # make every reordering visible, and signed zeros test the identity.
+    # The table is complex, x + 1j p: each part must sum as its own floats.
     rng = np.random.default_rng(443 + n)
-    values = rng.standard_normal(64) * 10.0 ** rng.integers(-20, 21, size=64)
-    values[:8] = [0.0, -0.0, -0.0, 1e20, -1e20, 1.0, -1.0, 5e-324]
+    x = rng.standard_normal(64) * 10.0 ** rng.integers(-20, 21, size=64)
+    x[:8] = [0.0, -0.0, -0.0, 1e20, -1e20, 1.0, -1.0, 5e-324]
+    p = rng.standard_normal(64) * 10.0 ** rng.integers(-20, 21, size=64)
+    p[:8] = [1.0, -0.0, -0.0, -1e20, 1e20, -1.0, 1.0, -5e-324]
+    values = np.empty(64, dtype=complex)
+    values.real, values.imag = x, p
     types = rng.integers(0, 64, size=(300, n))
     types[:4] = rng.integers(1, 3, size=(4, n))  # rows of -0.0 only
     types[4] = rng.permutation(np.resize([3, 4, 5, 6], n))  # cancellation
-    expected = values[types].sum(axis=1)
-    got = _row_sums(values, types)
-    assert got.tobytes() == expected.tobytes()
-    assert repr(float(got[0])) == "0.0"  # not -0.0
+    got = _row_sums(values, np.ascontiguousarray(types.T))  # client-major, as sampled
+    assert got.real.tobytes() == x[types].sum(axis=1).tobytes()
+    assert got.imag.tobytes() == p[types].sum(axis=1).tobytes()
+    assert repr(float(got[0].real)) == repr(float(got[0].imag)) == "0.0"  # not -0.0
 
 
 def test_simulate_budget_150x150():
