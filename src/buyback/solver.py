@@ -57,7 +57,7 @@ from .model import (
     ValidationError,
     provider_expected_utility,
 )
-from .payments import column_payments, optimal_payment_multi
+from .payments import _clamped_payments
 
 #: Hard cap on the oracle's lattice size and on the exact DP's front points
 #: plus crossing pairs.
@@ -204,7 +204,8 @@ def _level_fronts(gain, mass, rows, suffix: bool, points: int):
 
 
 def _crossing_screen(w, caps, G, D, before, after):
-    """(a, b, m) of every crossing block that may hold a crossing, in order.
+    """(a, b, m) of every crossing block that may hold a crossing, in order,
+    and the pairs of front points over all blocks with a positive slope.
 
     ``before[a][m]`` and ``after[b][m]`` are the fronts on either side of
     block [a..b] in capacity segment m.  A block holds one only if its slope
@@ -219,17 +220,18 @@ def _crossing_screen(w, caps, G, D, before, after):
     theta inside its segment passes.
     """
     K, L = len(before), caps.size
-    s_before, s_after = (
-        np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1)
+    (s_before, n_before), (s_after, n_after) = (
+        (np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1),
+         np.array([[len(f[1]) for f in row] for row in fronts], dtype=np.int64))
         for fronts in (before, after)
-    )  # first and last supply of each front
+    )  # first and last supply of each front, and its size
     slope_k = np.cumsum(w[::-1], axis=0)[::-1].T  # (K, L): weight at capacities >= m
     const_k = np.zeros((K, L))
     const_k[:, 1:] = np.cumsum(w * caps[:, None], axis=0)[:-1].T  # and below m, times c
     rtol = 16 * (K * L + K + L) * np.finfo(float).eps
     b = np.arange(K)[None, :, None]
     step = max(1, _SCREEN_BLOCK // (K * L))
-    blocks = []
+    blocks, pairs = [], 0
     for a0 in range(0, K, step):
         a = np.arange(a0, min(a0 + step, K))[:, None, None]
         slope = np.cumsum(np.where(b >= a, slope_k, 0.0), axis=1)  # [a, b, m]
@@ -238,12 +240,14 @@ def _crossing_screen(w, caps, G, D, before, after):
         x_hi = D - (s_before[1, a0 : a0 + step, None] + s_after[1])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             slack = rtol * (np.abs(x_lo) + np.abs(x_hi) + const) / slope
-            keep = (slope > 0.0) & (
+            live = slope > 0.0
+            keep = live & (
                 (x_lo - const) / slope >= G[:-1] - 1e-12 - slack
             ) & ((x_hi - const) / slope <= G[1:] + 1e-12 + slack)
+        pairs += int(np.sum(n_before[a0 : a0 + step, None] * n_after, where=live))
         i, bi, m = np.nonzero(keep)
         blocks += zip((i + a0).tolist(), bi.tolist(), m.tolist())
-    return blocks
+    return blocks, pairs
 
 
 def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
@@ -266,15 +270,7 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
     before = [prefix[a][1:] for a in range(K)]  # before[a][m], block [a..b] in segment m
     after = [suffix[b + 1][:L] for b in range(K)]  # after[b][m]
-
-    # a sum of non-negative weights is positive iff one of them is: the first
-    # block end b at which [a..b] x [m..L-1] holds a positive weight
-    hit = np.logical_or.accumulate(w[::-1] > 0.0, axis=0)[::-1].T  # (K, L)
-    first = np.minimum.accumulate(np.where(hit, np.arange(K)[:, None], K)[::-1], axis=0)[::-1]
-    size_after = np.zeros((K + 1, L), dtype=np.int64)
-    size_after[:K] = np.cumsum([[len(f[0]) for f in row] for row in after[::-1]], axis=0)[::-1]
-    size_before = np.array([[len(f[0]) for f in row] for row in before], dtype=np.int64)
-    pairs = int(np.sum(size_before * np.take_along_axis(size_after, first, axis=0)))
+    blocks, pairs = _crossing_screen(w, caps, G, D, before, after)
     if points + pairs > MAX_CANDIDATES:
         raise CandidateCountError(
             f"exact solve needs {points} front points and {pairs} crossing pairs "
@@ -283,7 +279,7 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
 
     H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
     crossings = []
-    for a, b, m in _crossing_screen(w, caps, G, D, before, after):
+    for a, b, m in blocks:
         slope = float(np.sum(w[m:, a : b + 1]))
         const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
         gP, sP, levP = before[a][m]
@@ -305,11 +301,9 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     return suffix[0][L][2], crossings, points, pairs
 
 
-def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
-    grid = instance.grid
-    K, L = grid.num_valuations, grid.num_capacities
-    caps = grid.capacities
-    coef, w = _reduced_coefficients(instance)
+def _exact_allocation(instance: MarketInstance, coef: np.ndarray, w: np.ndarray):
+    """The DP's winning allocation min(c, y), and its counts for ``diagnostics``."""
+    caps = instance.grid.capacities
     M, D = instance.penalty, instance.demand_floor
 
     G = np.concatenate([[0.0], caps])  # G[j]: the y-value of grid level j
@@ -324,7 +318,7 @@ def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
             gain, mass, coef, w, caps, G, X, D
         )
     else:  # the objective is lin: one best suffix per (row, level) suffices
-        grid_levels, crossings, points, pairs = [_best_levels(gain, mass)], [], K * (L + 1), 0
+        grid_levels, crossings, points, pairs = [_best_levels(gain, mass)], [], gain.size, 0
 
     # re-score the survivors together: objective, then supply, then lex-larger y
     Y = np.vstack([G[np.asarray(grid_levels, dtype=np.intp)], *crossings])
@@ -333,24 +327,34 @@ def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
     supply = np.einsum("ckl,lk->c", Xc, w)
     obj = lin + M * np.minimum(0.0, supply - D)
     best_y = Y[_best_by_key(Y, obj, supply)[0]]
+    return np.minimum(caps[None, :], best_y[:, None]), {
+        "candidates": len(Y),
+        "grid_candidates": len(grid_levels),
+        "crossing_candidates": len(crossings),
+        "front_points": points,
+        "crossing_pairs": pairs,
+    }
 
-    x = np.minimum(caps[None, :], best_y[:, None])
-    contract = Contract(x, optimal_payment_multi(grid, x))
-    supply = _expected_supply(w, x)
+
+def _result(instance, w, x, p, method, epsilon, diagnostics) -> SolveResult:
+    """The SolveResult of the priced menu (x, p), re-evaluated under the instance."""
+    contract = Contract(x, p)
     return SolveResult(
         contract=contract,
         expected_utility=provider_expected_utility(instance, contract),
         method=method,
-        epsilon=0.0,
-        aux_t=min(0.0, supply - D),
-        diagnostics={
-            "candidates": len(Y),
-            "grid_candidates": len(grid_levels),
-            "crossing_candidates": len(crossings),
-            "front_points": points,
-            "crossing_pairs": pairs,
-        },
+        epsilon=epsilon,
+        aux_t=min(0.0, _expected_supply(w, x) - instance.demand_floor),
+        diagnostics=diagnostics,
     )
+
+
+def _solve_exact(instance: MarketInstance, method: SolveMethod) -> SolveResult:
+    # y is non-increasing in [0, c_max], so x = min(c, y) passes P1, P2 and P6
+    coef, w = _reduced_coefficients(instance)
+    x, diagnostics = _exact_allocation(instance, coef, w)
+    p = _clamped_payments(instance.grid.valuations, x, instance.grid.capacities)
+    return _result(instance, w, x, p, method, 0.0, diagnostics)
 
 
 def solve_single_capacity(instance: MarketInstance) -> SolveResult:
@@ -511,16 +515,8 @@ def oracle_grid_search(instance: MarketInstance, grid_step: float) -> SolveResul
     util, supply = _row_tables(axis, caps, v, instance.alpha, w)
     best_y = axis[_lattice_walk(util, supply, instance.penalty, instance.demand_floor)]
     x, p = (np.vstack([col[0] for col in cols]) for cols in _menu_columns(best_y[None], caps, v))
-    contract = Contract(x, p)
-    supply = _expected_supply(w, x)
-    return SolveResult(
-        contract=contract,
-        expected_utility=provider_expected_utility(instance, contract),
-        method=SolveMethod.ORACLE,
-        epsilon=0.0,
-        aux_t=min(0.0, supply - instance.demand_floor),
-        diagnostics={"candidates": count, "axis_size": int(axis.size)},
-    )
+    diagnostics = {"candidates": count, "axis_size": int(axis.size)}
+    return _result(instance, w, x, p, SolveMethod.ORACLE, 0.0, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +675,12 @@ def solve_multi_relaxed(
     caps = instance.grid.capacities
     coef, w = _reduced_coefficients(instance)
     M, D = instance.penalty, instance.demand_floor
-    x = _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT).contract.allocation.copy()
+    x, _ = _exact_allocation(instance, coef, w)
     x, passes, moves, converged = _descent(x, coef, w.T, caps, M, D, epsilon)
-    p = np.empty_like(x)
-    for l in range(caps.size):
-        p[:, l] = column_payments(instance.grid.valuations, x[:, l], float(caps[l]))
-    contract = Contract(x, p)
-    return SolveResult(
-        contract=contract,
-        expected_utility=provider_expected_utility(instance, contract),
-        method=SolveMethod.MULTI_RELAXED,
-        epsilon=epsilon,
-        aux_t=min(0.0, _expected_supply(w, x) - D),
-        diagnostics={"passes": passes, "moves": moves, "converged": converged},
-    )
+    # rows lie between their neighbours and row 0 under c: no column check can fail
+    p = _clamped_payments(instance.grid.valuations, x, caps)
+    diagnostics = {"passes": passes, "moves": moves, "converged": converged}
+    return _result(instance, w, x, p, SolveMethod.MULTI_RELAXED, epsilon, diagnostics)
 
 
 def relaxed_schedule(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from buyback import (
+    CandidateCountError,
     Contract,
     MarketInstance,
     SimulationConfig,
@@ -19,8 +20,10 @@ from buyback import (
     SolveResult,
     ValidationError,
     simulate,
+    solve_multi_reduced,
 )
 from buyback import cli as cli_mod
+from buyback import solver
 from buyback.cli import _build_parser, _matrix, main, parse_instance, solve_report
 from buyback.feasibility import AUDIT_TOL
 from helpers import (
@@ -166,6 +169,21 @@ def test_exact_crossing_budget_is_invalid_input(tmp_path):
     proc = run_cli("solve", write_json(tmp_path / "inst.json", doc))
     assert proc.returncode == 2
     assert "78263394 crossing pairs" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["reduced", "relaxed"])
+def test_exact_front_budget_is_invalid_input(tmp_path, capsys, monkeypatch, method):
+    # with the budget below the DP's front points, the fronts trip it
+    # before any crossing pair is counted, on both routes that run the DP
+    monkeypatch.setattr(solver, "MAX_CANDIDATES", 4)
+    message = "exact solve needs more than 4 front points"
+    with pytest.raises(CandidateCountError, match=message):
+        solve_multi_reduced(parse_instance(INSTANCE_L2)[0])
+    out = tmp_path / "report.json"
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    code, _, err = _in_process(capsys, "solve", inst, "--method", method, "--out", str(out))
+    assert code == 2 and message in err
+    assert not out.exists()
 
 
 def test_single_method_on_multi_capacity_instance(tmp_path):
@@ -314,6 +332,39 @@ def test_matrix_entry_errors_name_the_entry(tmp_path, capsys, target, bad, messa
     assert (code, out, err) == (2, "", f"error: '{key}' {message}\n")
 
 
+_CONTRACT_L2 = {"allocation": [[4.0, 4.0], [2.0, 2.0]], "payment": [[6.0, 6.0], [4.0, 4.0]]}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_DOCUMENT_ERRORS = [
+    ([INSTANCE_L2], _CONTRACT_L2, "instance file must be a JSON object"),
+    (INSTANCE_L2, [_CONTRACT_L2], "contract file must be a JSON object"),
+    *[(_without(INSTANCE_L2, key), _CONTRACT_L2, f"instance file is missing key '{key}'")
+      for key in INSTANCE_L2],
+    *[(INSTANCE_L2, _without(_CONTRACT_L2, key), f"contract file is missing key '{key}'")
+      for key in _CONTRACT_L2],
+    ({**INSTANCE_L2, "valuations": []}, _CONTRACT_L2,
+     "'valuations' must be a non-empty array of numbers"),
+    ({**INSTANCE_L2, "clients": []}, _CONTRACT_L2, "'clients' must be a non-empty array"),
+    ({**INSTANCE_L2, "clients": {"probs": [[0.25] * 2] * 2}}, _CONTRACT_L2,
+     "'clients' must be a non-empty array"),
+    ({**INSTANCE_L2, "clients": [INSTANCE_L2["clients"][0], {"p": [[0.25] * 2] * 2}]},
+     _CONTRACT_L2, "clients[1] must be an object with a 'probs' matrix"),
+    ({**INSTANCE_L2, "clients": [[[0.25] * 2] * 2]}, _CONTRACT_L2,
+     "clients[0] must be an object with a 'probs' matrix"),
+]
+
+
+@pytest.mark.parametrize("instance, contract, message", _DOCUMENT_ERRORS)
+def test_malformed_documents_say_what_is_wrong(tmp_path, capsys, instance, contract, message):
+    inst = write_json(tmp_path / "inst.json", instance)
+    path = write_json(tmp_path / "c.json", contract)
+    assert _in_process(capsys, "verify", inst, path) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("target", ["probs", "allocation", "payment"])
 def test_matrix_short_row_names_the_row(tmp_path, capsys, target):
     doc = json.loads(json.dumps(INSTANCE_L2))
@@ -357,9 +408,6 @@ def test_matrix_matches_per_entry_reference(value):
         assert got == ref
     else:
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-
-
-_CONTRACT_L2 = {"allocation": [[4.0, 4.0], [2.0, 2.0]], "payment": [[6.0, 6.0], [4.0, 4.0]]}
 
 
 @pytest.mark.parametrize(

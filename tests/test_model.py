@@ -101,6 +101,8 @@ def test_realized_all_opt_out():
     inst = MarketInstance(grid, (ClientDistribution([[1.0]]),) * 2, 2.0, 1.0, 0.0)
     contract = Contract([[4.0]], [[2.0]])
     assert realized_provider_utility(inst, contract, [OPT_OUT, OPT_OUT]) == 0.0
+    with pytest.raises(ValidationError, match="expected 2 choices, got 1"):
+        realized_provider_utility(inst, contract, [OPT_OUT])
 
 
 def test_realized_single_client():
@@ -204,6 +206,10 @@ def test_client_distribution_validation():
         ClientDistribution([[0.5, 0.4]])  # sums to 0.9
     with pytest.raises(ValidationError):
         ClientDistribution([[1.5, -0.5]])
+    with pytest.raises(ValidationError, match="probs must be a 2-d matrix"):
+        ClientDistribution([0.25, 0.75])
+    with pytest.raises(ValidationError, match="probs contains non-finite entries"):
+        ClientDistribution([[np.nan, 1.0]])
     ClientDistribution([[0.25, 0.75]])
 
 
@@ -218,6 +224,14 @@ def test_market_instance_validation():
         MarketInstance(grid, (good,), 0.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
         MarketInstance(grid, (good,), 1.0, -1.0, 0.0)
+    with pytest.raises(ValidationError, match="demand_floor = -1.0 must be non-negative"):
+        MarketInstance(grid, (good,), 1.0, 0.0, -1.0)
+    for terms, name in (((np.inf, 0.0, 0.0), "alpha = inf"), ((1.0, np.nan, 0.0), "penalty = nan"),
+                        ((1.0, 0.0, -np.inf), "demand_floor = -inf")):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            MarketInstance(grid, (good,), *terms)
+    with pytest.raises(ValidationError, match="aggregate weights must be non-negative"):
+        AggregateWeights([[0.5, -0.5]])
 
 
 def test_contract_validation():
@@ -227,6 +241,8 @@ def test_contract_validation():
         Contract([[1.0, 2.0]], [[1.0]])
     with pytest.raises(ValidationError):
         Contract([[np.nan]], [[1.0]])
+    with pytest.raises(ValidationError, match="allocation must be a 2-d matrix"):
+        Contract([1.0], [[1.0]])
 
 
 def test_types_are_immutable():

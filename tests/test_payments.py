@@ -80,6 +80,8 @@ def test_single_precondition_errors_name_index():
         optimal_payment_single(grid, [11.0, 4.0])
     with pytest.raises(PreconditionError, match="k=1"):
         optimal_payment_single(grid, [4.0, -1.0])
+    with pytest.raises(PreconditionError, match=r"column has shape \(3,\), expected \(2,\)"):
+        optimal_payment_single(grid, [4.0, 4.0, 4.0])
 
 
 def test_subtolerance_violations_are_clamped():
@@ -129,6 +131,8 @@ def test_multi_rejects_p1_and_p2():
         optimal_payment_multi(grid, [[6.0, 6.0], [5.0, 5.0]])
     with pytest.raises(PreconditionError, match="P2"):
         optimal_payment_multi(grid, [[4.0, 4.0], [5.0, 5.0]])
+    with pytest.raises(PreconditionError, match=r"allocation has shape \(1, 2\), expected \(2, 2\)"):
+        optimal_payment_multi(grid, [[4.0, 4.0]])
 
 
 def test_multi_restricted_to_one_column_equals_single():

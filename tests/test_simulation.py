@@ -79,6 +79,8 @@ def test_best_response_max_payment_tie_break():
     contract = Contract([[0.0, 2.0]], [[0.0, 2.0]])  # both items worth 0
     assert best_response(grid, contract, (0, 0), tie_break="truthful_first") == (0, 0)
     assert best_response(grid, contract, (0, 0), tie_break="max_payment") == (0, 1)
+    with pytest.raises(ValidationError, match="tie_break must be one of"):
+        best_response(grid, contract, (0, 0), tie_break="nope")
 
 
 def test_best_response_rejects_a_tol_that_is_not_finite_and_non_negative():
@@ -181,6 +183,9 @@ def test_simulation_config_validation():
         SimulationConfig(replications=0)
     with pytest.raises(ValidationError):
         SimulationConfig(replications=10, tie_break="nope")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match=f"seed = {seed} must fit in 64 unsigned bits"):
+            SimulationConfig(replications=10, seed=seed)
 
 
 def test_point_mass_zero_variance_exact_mean():

@@ -16,6 +16,7 @@ from buyback import (
     TypeGrid,
     ValidationError,
     check_theorem1,
+    column_payments,
     compute_regret,
     oracle_grid_search,
     optimal_payment_multi,
@@ -530,12 +531,13 @@ def test_crossing_screen_keeps_every_block_the_exact_checks_keep(monkeypatch):
             kept = theta_kept_blocks_reference(w, caps, G, D, prefix, suffix)
         before = [prefix[a][1:] for a in range(K)]
         after = [suffix[b + 1][:L] for b in range(K)]
-        screened = _crossing_screen(w, caps, G, D, before, after)
+        screened, pairs = _crossing_screen(w, caps, G, D, before, after)
         assert set(kept) <= set(screened)
         assert screened == sorted(screened)
+        assert pairs == sum(len(before[a][m][0]) * len(after[b][m][0]) for a, b, m in live)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_SCREEN_BLOCK", 1)
-            assert _crossing_screen(w, caps, G, D, before, after) == screened
+            assert _crossing_screen(w, caps, G, D, before, after) == (screened, pairs)
         kept_total += len(kept)
     assert kept_total >= 1000
 
@@ -567,6 +569,8 @@ def test_relaxed_validates_arguments():
         solve_multi_relaxed(RELAX_INSTANCE, epsilon=0.0)
     with pytest.raises(ValidationError):
         solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-4, restarts=0)
+    with pytest.raises(ValidationError, match="epsilons must be non-empty"):
+        relaxed_schedule(RELAX_INSTANCE, epsilons=())
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
@@ -724,6 +728,34 @@ def test_relaxed_ignores_restarts_and_seed():
         assert np.array_equal(a.contract.allocation, c.contract.allocation)
 
 
+def test_solver_payments_are_the_checked_payment_rules_bit_for_bit():
+    # the solvers price with the payment kernel and skip the rules' checks:
+    # every exact allocation must pass optimal_payment_multi's P1, P2 and P6
+    # and every relaxed one each column's column_payments checks, and those
+    # rules must return the result's payments exactly
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for i in range(120):
+            inst = exact_dp_draw(rng, i)
+            free = MarketInstance(inst.grid, inst.clients, inst.alpha, 0.0, 0.0)
+            for case in (inst, free):
+                res = solve_multi_reduced(case)
+                p = optimal_payment_multi(case.grid, res.contract.allocation)
+                assert same_bits(p, res.contract.payment)
+    rng = np.random.default_rng(227)
+    for _ in range(60):
+        base = random_instance(rng, max_n=2)
+        full = float(np.sum(AggregateWeights.from_instance(base).weights.T @ base.grid.capacities))
+        v, caps = base.grid.valuations, base.grid.capacities
+        for penalty, demand in ((2.0, 0.5 * full), (0.0, 0.0)):
+            inst = MarketInstance(base.grid, base.clients, base.alpha, penalty, demand)
+            for eps in (1e-2, 1e-6):
+                res = solve_multi_relaxed(inst, epsilon=eps)
+                x = res.contract.allocation
+                p = np.column_stack([column_payments(v, x[:, l], c) for l, c in enumerate(caps)])
+                assert same_bits(p, res.contract.payment)
+
+
 def random_relaxed_row(rng, caps):
     """A row non-decreasing in capacity and within it, with ties and full entries."""
     r = rng.uniform(0.0, caps[-1], caps.size)
@@ -807,16 +839,16 @@ def test_relaxed_schedule_runs_and_tightens():
 
 
 def test_relaxed_schedule_solves_its_warm_start_once(monkeypatch):
-    methods = []
-    solve_exact = solver._solve_exact
+    calls = []
+    exact_allocation = solver._exact_allocation
 
-    def counted(instance, method):
-        methods.append(method)
-        return solve_exact(instance, method)
+    def counted(instance, coef, w):
+        calls.append(instance)
+        return exact_allocation(instance, coef, w)
 
-    monkeypatch.setattr(solver, "_solve_exact", counted)
+    monkeypatch.setattr(solver, "_exact_allocation", counted)
     relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4, 1e-6), restarts=1)
-    assert methods == [SolveMethod.MULTI_REDUCED_EXACT]
+    assert calls == [RELAX_INSTANCE]
 
 
 def test_exact_solver_with_zero_weight_items():
