@@ -204,8 +204,7 @@ def _level_fronts(gain, mass, rows, suffix: bool, points: int):
 
 
 def _crossing_screen(w, caps, G, D, before, after):
-    """(a, b, m) of every crossing block that may hold a crossing, in order,
-    and the pairs of front points over all blocks with a positive slope.
+    """(a, b, m) of every crossing block that may hold a crossing, in order.
 
     ``before[a][m]`` and ``after[b][m]`` are the fronts on either side of
     block [a..b] in capacity segment m.  A block holds one only if its slope
@@ -220,18 +219,17 @@ def _crossing_screen(w, caps, G, D, before, after):
     theta inside its segment passes.
     """
     K, L = len(before), caps.size
-    (s_before, n_before), (s_after, n_after) = (
-        (np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1),
-         np.array([[len(f[1]) for f in row] for row in fronts], dtype=np.int64))
+    s_before, s_after = (
+        np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1)
         for fronts in (before, after)
-    )  # first and last supply of each front, and its size
+    )  # first and last supply of each front
     slope_k = np.cumsum(w[::-1], axis=0)[::-1].T  # (K, L): weight at capacities >= m
     const_k = np.zeros((K, L))
     const_k[:, 1:] = np.cumsum(w * caps[:, None], axis=0)[:-1].T  # and below m, times c
     rtol = 16 * (K * L + K + L) * np.finfo(float).eps
     b = np.arange(K)[None, :, None]
     step = max(1, _SCREEN_BLOCK // (K * L))
-    blocks, pairs = [], 0
+    blocks = []
     for a0 in range(0, K, step):
         a = np.arange(a0, min(a0 + step, K))[:, None, None]
         slope = np.cumsum(np.where(b >= a, slope_k, 0.0), axis=1)  # [a, b, m]
@@ -240,14 +238,12 @@ def _crossing_screen(w, caps, G, D, before, after):
         x_hi = D - (s_before[1, a0 : a0 + step, None] + s_after[1])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             slack = rtol * (np.abs(x_lo) + np.abs(x_hi) + const) / slope
-            live = slope > 0.0
-            keep = live & (
+            keep = (slope > 0.0) & (
                 (x_lo - const) / slope >= G[:-1] - 1e-12 - slack
             ) & ((x_hi - const) / slope <= G[1:] + 1e-12 + slack)
-        pairs += int(np.sum(n_before[a0 : a0 + step, None] * n_after, where=live))
         i, bi, m = np.nonzero(keep)
         blocks += zip((i + a0).tolist(), bi.tolist(), m.tolist())
-    return blocks, pairs
+    return blocks
 
 
 def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
@@ -270,7 +266,15 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
     before = [prefix[a][1:] for a in range(K)]  # before[a][m], block [a..b] in segment m
     after = [suffix[b + 1][:L] for b in range(K)]  # after[b][m]
-    blocks, pairs = _crossing_screen(w, caps, G, D, before, after)
+
+    # a sum of non-negative weights is positive iff one of them is: the first
+    # block end b at which [a..b] x [m..L-1] holds a positive weight
+    hit = np.logical_or.accumulate(w[::-1] > 0.0, axis=0)[::-1].T  # (K, L)
+    first = np.minimum.accumulate(np.where(hit, np.arange(K)[:, None], K)[::-1], axis=0)[::-1]
+    size_after = np.zeros((K + 1, L), dtype=np.int64)
+    size_after[:K] = np.cumsum([[len(f[0]) for f in row] for row in after[::-1]], axis=0)[::-1]
+    size_before = np.array([[len(f[0]) for f in row] for row in before], dtype=np.int64)
+    pairs = int(np.sum(size_before * np.take_along_axis(size_after, first, axis=0)))
     if points + pairs > MAX_CANDIDATES:
         raise CandidateCountError(
             f"exact solve needs {points} front points and {pairs} crossing pairs "
@@ -279,7 +283,7 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
 
     H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
     crossings = []
-    for a, b, m in blocks:
+    for a, b, m in _crossing_screen(w, caps, G, D, before, after):
         slope = float(np.sum(w[m:, a : b + 1]))
         const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
         gP, sP, levP = before[a][m]
@@ -408,19 +412,15 @@ def _oracle_axis(instance: MarketInstance, grid_step: float, w: np.ndarray) -> n
     cmax = float(caps[-1])
     steps = np.arange(0.0, cmax + grid_step * 0.5, grid_step)
     steps = steps[: np.searchsorted(steps, cmax + 1e-12, side="right")]
-    values = [caps]
+    extra: list[float] = []
     if instance.penalty > 0.0 and instance.demand_floor > 0.0:
         D = instance.demand_floor
-        K = instance.grid.num_valuations
         full = w.T @ caps  # supply contribution of each coordinate at full recycling
-        extra: list[float] = []
-        extra += _pwl_crossing_values(np.sum(w, axis=1), caps, D)  # all coords equal
-        for k in range(K):
+        extra = _pwl_crossing_values(np.sum(w, axis=1), caps, D)  # all coords equal
+        for k in range(w.shape[1]):
             extra += _pwl_crossing_values(w[:, k], caps, D)  # others idle
             extra += _pwl_crossing_values(w[:, k], caps, D - (float(np.sum(full)) - full[k]))
-        if extra:
-            values.append(np.array(extra))
-    others = np.sort(np.concatenate(values))
+    others = np.sort(np.concatenate([caps, extra]))
     axis = np.insert(steps, np.searchsorted(steps, others, side="right"), others)
     return axis[np.concatenate([[True], axis[1:] != axis[:-1]])]
 

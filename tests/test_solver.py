@@ -413,6 +413,28 @@ def test_exact_crossing_budget_guard():
     assert time.perf_counter() - start < 2.0
 
 
+def test_exact_crossing_budget_is_checked_before_the_screen(monkeypatch):
+    # L = 1 and all mass on the middle valuation: every front holds at most
+    # two points, yet each of the (K/2)^2 blocks holding that row has a
+    # crossing theta in [0, c], so a screen run before the count would keep
+    # all of them; the budget is scaled down with K, since the fronts alone
+    # take a minute at K = 10^4
+    K = 1000
+    probs = np.zeros((1, K))
+    probs[0, K // 2] = 1.0
+    inst = one_client_instance(np.arange(1.0, K + 1.0), [1.0], probs, K + 1.0, 2.0, 0.5)
+
+    def screen(*args):
+        raise AssertionError("blocks screened before the pair budget was checked")
+
+    monkeypatch.setattr(solver, "MAX_CANDIDATES", 100_000)
+    monkeypatch.setattr(solver, "_crossing_screen", screen)
+    start = time.perf_counter()
+    with pytest.raises(CandidateCountError, match="2999 front points and 250500 crossing pairs"):
+        solve_multi_reduced(inst)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_exact_matches_enumeration():
     # bitwise, against the vertex enumeration, over tie-heavy integer
     # instances, point-mass clients, zero-weight items and both penalty regimes
@@ -531,13 +553,12 @@ def test_crossing_screen_keeps_every_block_the_exact_checks_keep(monkeypatch):
             kept = theta_kept_blocks_reference(w, caps, G, D, prefix, suffix)
         before = [prefix[a][1:] for a in range(K)]
         after = [suffix[b + 1][:L] for b in range(K)]
-        screened, pairs = _crossing_screen(w, caps, G, D, before, after)
+        screened = _crossing_screen(w, caps, G, D, before, after)
         assert set(kept) <= set(screened)
         assert screened == sorted(screened)
-        assert pairs == sum(len(before[a][m][0]) * len(after[b][m][0]) for a, b, m in live)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_SCREEN_BLOCK", 1)
-            assert _crossing_screen(w, caps, G, D, before, after) == (screened, pairs)
+            assert _crossing_screen(w, caps, G, D, before, after) == screened
         kept_total += len(kept)
     assert kept_total >= 1000
 
