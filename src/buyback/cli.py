@@ -42,7 +42,9 @@ from .model import (
     ValidationError,
     provider_expected_utility,
 )
-from .simulation import SimulationConfig, SimulationSummary, simulate
+from .simulation import (
+    TIE_TRUTHFUL_FIRST, _TIE_MODES, SimulationConfig, SimulationSummary, simulate
+)
 from .solver import (
     SolveResult,
     oracle_grid_search,
@@ -384,9 +386,7 @@ def cmd_simulate(args) -> int:
     instance, _, file_seed = _load_json(args.instance)
     contract = _load_json(args.contract, instance.grid)
     seed = args.seed if args.seed is not None else (file_seed if file_seed is not None else 0)
-    config = SimulationConfig(
-        replications=args.replications, seed=seed, tie_break=args.tie_break
-    )
+    config = SimulationConfig(args.replications, seed, args.tie_break)
     summary = simulate(instance, contract, config)
     _write_out(_summary_dict(summary), args.out)
     print(f"replications {summary.replications}  seed {seed}")
@@ -450,9 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol", type=_tolerance, default=AUDIT_TOL, help="audit tolerance")
+    def add_common(p, func, tol=False):
+        if tol:  # only the commands that audit take a tolerance
+            p.add_argument("--tol", type=_tolerance, default=AUDIT_TOL, help="audit tolerance")
         p.add_argument("--out", help="write the machine-readable JSON report here")
+        p.set_defaults(func=func)
 
     p_solve = sub.add_parser("solve", help="compute an optimal contract for an instance")
     p_solve.add_argument("instance")
@@ -461,42 +463,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--epsilon", type=float, default=None,
                          help="relaxation tolerance (relaxed method)")
-    p_solve.add_argument("--seed", type=_seed, default=None,
-                         help="accepted for compatibility; every solve method is deterministic")
-    add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    add_common(p_solve, cmd_solve, tol=True)
 
     p_verify = sub.add_parser("verify", help="audit a contract against an instance")
     p_verify.add_argument("instance")
     p_verify.add_argument("contract")
     p_verify.add_argument("--epsilon", type=float, default=None,
                           help="epsilon used for the reported regret bound")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    add_common(p_verify, cmd_verify, tol=True)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation of a contract")
     p_sim.add_argument("instance")
     p_sim.add_argument("contract")
     p_sim.add_argument("--replications", type=int, default=10_000)
     p_sim.add_argument("--seed", type=_seed, default=None)
-    p_sim.add_argument(
-        "--tie-break", choices=("truthful_first", "max_payment"), default="truthful_first"
-    )
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.add_argument("--tie-break", choices=_TIE_MODES, default=TIE_TRUTHFUL_FIRST)
+    add_common(p_sim, cmd_simulate)
 
     p_regret = sub.add_parser("regret", help="exact regret of a contract, with bound")
     p_regret.add_argument("instance")
     p_regret.add_argument("contract")
     p_regret.add_argument("--epsilon", type=float, default=None)
-    add_common(p_regret)
-    p_regret.set_defaults(func=cmd_regret)
+    add_common(p_regret, cmd_regret)
 
     p_oracle = sub.add_parser("oracle", help="brute-force lattice search that cross-checks solve")
     p_oracle.add_argument("instance")
     p_oracle.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    add_common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
+    add_common(p_oracle, cmd_oracle, tol=True)
 
     return parser
 

@@ -35,6 +35,7 @@ replication (its total repurchase and its utility).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ class SimulationConfig:
     tie_break: str = TIE_TRUTHFUL_FIRST
 
     def __post_init__(self):
+        for name in ("replications", "seed"):  # any integer but a bool, stored as an int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValidationError(f"{name} = {value!r} must be an integer")
+            object.__setattr__(self, name, operator.index(value))
         if self.replications < 1:
             raise ValidationError(f"replications = {self.replications} must be >= 1")
         if not 0 <= self.seed < 2**64:

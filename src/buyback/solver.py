@@ -651,12 +651,7 @@ def _check_epsilon(epsilon: float) -> None:
         )
 
 
-def solve_multi_relaxed(
-    instance: MarketInstance,
-    epsilon: float = 1e-6,
-    restarts: int = 4,
-    seed: int = 0,
-) -> SolveResult:
+def solve_multi_relaxed(instance: MarketInstance, epsilon: float = 1e-6) -> SolveResult:
     """Descent on the epsilon-relaxed complementarity program from the exact menu.
 
     The relaxed program bounds every entry's product with its row's last
@@ -666,12 +661,9 @@ def solve_multi_relaxed(
     menu, whole rows move to closed-form bounds (``_descent``) until a pass
     improves nothing, or after _MAX_PASSES passes; ``diagnostics`` counts
     the passes and moves and says whether it converged.  The search is
-    deterministic: ``restarts`` (>= 1) and ``seed`` are accepted for
-    compatibility and change nothing.
+    deterministic.
     """
     _check_epsilon(epsilon)
-    if restarts < 1:
-        raise ValidationError(f"restarts = {restarts} must be >= 1")
     caps = instance.grid.capacities
     coef, w = _reduced_coefficients(instance)
     M, D = instance.penalty, instance.demand_floor
@@ -684,19 +676,15 @@ def solve_multi_relaxed(
 
 
 def relaxed_schedule(
-    instance: MarketInstance,
-    epsilons: tuple[float, ...] = (1e-2, 1e-4, 1e-6),
-    restarts: int = 4,
-    seed: int = 0,
+    instance: MarketInstance, epsilons: tuple[float, ...] = (1e-2, 1e-4, 1e-6)
 ) -> SolveResult:
     """``solve_multi_relaxed`` at the last of a decreasing-epsilon schedule.
 
     Every epsilon is validated.  The descent starts from the exact menu at
-    any epsilon, so the earlier stages have nothing to hand on; ``restarts``
-    and ``seed`` are accepted and change nothing.
+    any epsilon, so the earlier stages have nothing to hand on.
     """
     if not epsilons:
         raise ValidationError("epsilons must be non-empty")
     for eps in epsilons:
         _check_epsilon(eps)
-    return solve_multi_relaxed(instance, epsilons[-1], restarts, seed)
+    return solve_multi_relaxed(instance, epsilons[-1])

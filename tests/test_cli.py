@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import gc
 import json
@@ -94,8 +95,8 @@ def test_solve_then_verify_round_trip(tmp_path):
 def test_solve_reports_are_byte_identical(tmp_path):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    p1 = run_cli("solve", inst, "--method", "relaxed", "--seed", "7", "--out", out1)
-    p2 = run_cli("solve", inst, "--method", "relaxed", "--seed", "7", "--out", out2)
+    p1 = run_cli("solve", inst, "--method", "relaxed", "--out", out1)
+    p2 = run_cli("solve", inst, "--method", "relaxed", "--out", out2)
     assert p1.returncode == 0 and p2.returncode == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert p1.stdout == p2.stdout
@@ -544,13 +545,12 @@ def test_solve_and_oracle_bytes_match_reference_rendering(tmp_path, capsys, monk
     assert '"client_utility": -0.0' in (tmp_path / "out.json").read_text()
 
 
-@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("command", ["simulate"])  # the one command that takes --seed
 @pytest.mark.parametrize("seed", ["-3", str(2**64), "1.5", "x"])
 def test_seed_flag_outside_64_unsigned_bits_is_invalid_input(tmp_path, capsys, command, seed):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
-    args = ["solve", inst, "--method", "relaxed"] if command == "solve" else [
-        "simulate", inst, contract, "--replications", "10"]
+    args = [command, inst, contract, "--replications", "10"]
     code, out, err = _in_process(capsys, *args, "--seed", seed)
     assert (code, out) == (2, "") and "--seed" in err and "[0, 2**64)" in err
 
@@ -573,7 +573,64 @@ def test_seed_at_the_edges_of_64_unsigned_bits(tmp_path, capsys):
     code, out, _ = _in_process(capsys, "simulate", inst, contract, "--replications", "10",
                                "--seed", "0")
     assert code == 0 and "seed 0" in out
-    assert _in_process(capsys, "solve", inst, "--method", "relaxed", "--seed", "0")[0] == 0
+
+
+def test_removed_options_are_refused(tmp_path, capsys):
+    # The relaxed descent is deterministic and only solve, verify and oracle
+    # audit: restarts, seed, solve --seed and --tol elsewhere changed nothing.
+    instance, _, _ = parse_instance(INSTANCE_L2)
+    for keyword in ("restarts", "seed"):
+        with pytest.raises(TypeError, match=keyword):
+            solver.solve_multi_relaxed(instance, 1e-3, **{keyword: 1})
+        with pytest.raises(TypeError, match=keyword):
+            solver.relaxed_schedule(instance, (1e-3,), **{keyword: 1})
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    out_path = tmp_path / "out.json"
+    for argv in (["solve", inst, "--seed", "7"],
+                 ["simulate", inst, contract, "--replications", "10", "--tol", "0"],
+                 ["regret", inst, contract, "--tol", "0"]):
+        code, out, err = _in_process(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+        assert not out_path.exists()
+
+
+def test_every_cli_option_is_read_by_its_command(tmp_path, capsys):
+    # An option its command never reads changes nothing; none may be offered.
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    out = str(tmp_path / "out.json")
+    every_option = {
+        "solve": ([inst], {"--method": "relaxed", "--epsilon": "1e-3", "--tol": "1e-9"}),
+        "verify": ([inst, contract], {"--epsilon": "0", "--tol": "1e-9"}),
+        "simulate": ([inst, contract],
+                     {"--replications": "10", "--seed": "1", "--tie-break": "max_payment"}),
+        "regret": ([inst, contract], {"--epsilon": "0"}),
+        "oracle": ([inst], {"--grid-step": "0.5", "--tol": "1e-9"}),
+    }
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(every_option)
+    unread = []
+    for command, (files, options) in every_option.items():
+        actions = [action for action in commands.choices[command]._actions
+                   if action.option_strings and action.dest != "help"]
+        assert {action.option_strings[0] for action in actions} == {*options, "--out"}
+        argv = [command, *files, *[word for item in options.items() for word in item]]
+        args = _build_parser().parse_args([*argv, "--out", out], namespace=Recording())
+        read.clear()
+        args.func(args)
+        capsys.readouterr()
+        unread += [f"{command}.{action.dest}" for action in actions if action.dest not in read]
+    assert unread == []
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,22 @@ def test_simulation_config_validation():
             SimulationConfig(replications=10, seed=seed)
 
 
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.9), ("seed", True), ("seed", "1"), ("seed", np.float64(1.0)),
+     ("replications", 10.5), ("replications", True), ("replications", None)],
+)
+def test_simulation_config_refuses_non_integers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} = .* must be an integer"):
+        SimulationConfig(**{"replications": 10, field: value})
+
+
+def test_simulation_config_takes_numpy_integers_as_ints():
+    config = SimulationConfig(np.int32(10), seed=np.uint64(2**64 - 1))
+    assert (config.replications, config.seed) == (10, 2**64 - 1)
+    assert type(config.replications) is int and type(config.seed) is int
+
 def test_point_mass_zero_variance_exact_mean():
     grid = TypeGrid([1.0, 2.0], [10.0])
     client = ClientDistribution([[1.0, 0.0]])

@@ -588,8 +588,6 @@ RELAX_INSTANCE = one_client_instance(
 def test_relaxed_validates_arguments():
     with pytest.raises(ValidationError, match="solve_multi_reduced"):
         solve_multi_relaxed(RELAX_INSTANCE, epsilon=0.0)
-    with pytest.raises(ValidationError):
-        solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-4, restarts=0)
     with pytest.raises(ValidationError, match="epsilons must be non-empty"):
         relaxed_schedule(RELAX_INSTANCE, epsilons=())
 
@@ -607,7 +605,7 @@ def test_non_finite_epsilon_is_invalid(eps):
 def test_relaxed_exploits_slack_and_value_monotone_in_epsilon():
     exact = solve_multi_reduced(RELAX_INSTANCE).expected_utility
     values = {
-        eps: solve_multi_relaxed(RELAX_INSTANCE, epsilon=eps, seed=5).expected_utility
+        eps: solve_multi_relaxed(RELAX_INSTANCE, epsilon=eps).expected_utility
         for eps in (1e-6, 1e-4, 1e-2)
     }
     assert values[1e-6] >= exact - 1e-12
@@ -621,7 +619,7 @@ def test_relaxed_respects_regret_bound():
     for _ in range(15):
         inst = random_instance(rng, max_n=2)
         for eps in (1e-2, 1e-4):
-            res = solve_multi_relaxed(inst, epsilon=eps, restarts=2, seed=3)
+            res = solve_multi_relaxed(inst, epsilon=eps)
             assert res.epsilon == eps
             assert compute_regret(inst.grid, res.contract) <= regret_bound(inst.grid, eps) + 1e-12
             zero_value = provider_expected_utility(inst, Contract.zero(inst.grid))
@@ -630,22 +628,22 @@ def test_relaxed_respects_regret_bound():
 
 
 def test_relaxed_close_to_exact_for_tiny_epsilon():
-    res = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-8, seed=2)
+    res = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-8)
     exact = solve_multi_reduced(RELAX_INSTANCE)
     assert abs(res.expected_utility - exact.expected_utility) <= 1e-4
 
 
 def test_relaxed_spec_example_two_capacities():
     inst = one_client_instance([1.0], [5.0, 10.0], [[0.5], [0.5]], alpha=2.0)
-    res = solve_multi_relaxed(inst, epsilon=1e-4, seed=0)
+    res = solve_multi_relaxed(inst, epsilon=1e-4)
     exact = solve_multi_reduced(inst)
     assert abs(res.expected_utility - exact.expected_utility) <= 1e-2
     assert compute_regret(inst.grid, res.contract) <= 1.0 * 1e-2
 
 
 def test_relaxed_is_deterministic():
-    a = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-3, restarts=3, seed=11)
-    b = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-3, restarts=3, seed=11)
+    a = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-3)
+    b = solve_multi_relaxed(RELAX_INSTANCE, epsilon=1e-3)
     assert np.array_equal(a.contract.allocation, b.contract.allocation)
     assert np.array_equal(a.contract.payment, b.contract.payment)
     assert a.expected_utility == b.expected_utility
@@ -654,7 +652,7 @@ def test_relaxed_is_deterministic():
 
 def test_relaxed_zero_weight_types_still_constrained():
     inst = one_client_instance([1.0, 2.0], [4.0], [[1.0, 0.0]], alpha=3.0)
-    res = solve_multi_relaxed(inst, epsilon=1e-4, seed=1)
+    res = solve_multi_relaxed(inst, epsilon=1e-4)
     x = res.contract.allocation
     assert x[1, 0] <= x[0, 0] + 1e-12
     report = check_theorem1(inst.grid, res.contract, tol=1e-8)
@@ -691,7 +689,7 @@ def test_relaxed_budget_10x10(eps, penalised):
     penalty, demand = (2.0, 0.5 * full) if penalised else (0.0, 0.0)
     inst = MarketInstance(base.grid, base.clients, base.alpha, penalty, demand)
     start = time.perf_counter()
-    res = solve_multi_relaxed(inst, epsilon=eps, restarts=4, seed=0)
+    res = solve_multi_relaxed(inst, epsilon=eps)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.5, f"{elapsed:.2f} s"
     assert res.diagnostics["converged"]
@@ -733,20 +731,6 @@ def test_relaxed_reaches_what_a_pattern_search_reached(seed, size, draw, reached
     inst = [random_instance(rng, max_k=size, max_l=size, max_n=2) for _ in range(draw + 1)][-1]
     res = solve_multi_relaxed(inst, epsilon=1e-2)
     assert relaxed_objective(inst, res.contract.allocation) >= reached - 1e-12
-
-
-def test_relaxed_ignores_restarts_and_seed():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        inst = random_instance(rng, max_n=2)
-        a = solve_multi_relaxed(inst, epsilon=1e-3)
-        for restarts, seed in ((1, 0), (7, 123), (2, 2**63)):
-            b = solve_multi_relaxed(inst, epsilon=1e-3, restarts=restarts, seed=seed)
-            assert np.array_equal(a.contract.allocation, b.contract.allocation)
-            assert np.array_equal(a.contract.payment, b.contract.payment)
-            assert a.expected_utility == b.expected_utility and a.diagnostics == b.diagnostics
-        c = relaxed_schedule(inst, epsilons=(1e-2, 1e-3), restarts=3, seed=9)
-        assert np.array_equal(a.contract.allocation, c.contract.allocation)
 
 
 def test_solver_payments_are_the_checked_payment_rules_bit_for_bit():
@@ -852,7 +836,7 @@ def test_rooted_rows_pass_the_pairwise_reference():
 
 
 def test_relaxed_schedule_runs_and_tightens():
-    res = relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4), restarts=2, seed=7)
+    res = relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4))
     assert res.epsilon == 1e-4
     assert compute_regret(RELAX_INSTANCE.grid, res.contract) <= regret_bound(
         RELAX_INSTANCE.grid, 1e-4
@@ -868,7 +852,7 @@ def test_relaxed_schedule_solves_its_warm_start_once(monkeypatch):
         return exact_allocation(instance, coef, w)
 
     monkeypatch.setattr(solver, "_exact_allocation", counted)
-    relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4, 1e-6), restarts=1)
+    relaxed_schedule(RELAX_INSTANCE, epsilons=(1e-2, 1e-4, 1e-6))
     assert calls == [RELAX_INSTANCE]
 
 
