@@ -5,7 +5,8 @@ File formats (UTF-8 JSON):
 * instance file — keys ``valuations`` (K numbers, ascending), ``capacities``
   (L numbers, ascending), ``clients`` (n objects, each with an L x K
   ``probs`` matrix, rows by capacity, columns by valuation), ``alpha``,
-  ``penalty_M``, ``demand_floor_D``, optional ``epsilon`` and ``seed``;
+  ``penalty_M``, ``demand_floor_D``, optional ``epsilon`` (read by ``verify``,
+  ``regret`` and ``solve --method relaxed``) and ``seed`` (read by ``simulate``);
 * contract file — ``allocation`` and ``payment`` K x L matrices; a report
   written by ``solve`` also works (its ``contract`` block is used).
 
@@ -58,7 +59,6 @@ EXIT_INFEASIBLE = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_EPSILON = 1e-6
 DEFAULT_GRID_STEP = 0.01
 
 _REQUIRED_INSTANCE_KEYS = (
@@ -338,19 +338,16 @@ def _print_audit(report: AuditReport) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.epsilon is not None and args.method != "relaxed":
+        raise ValidationError("--epsilon applies only to --method relaxed")
     instance, file_epsilon, _ = _load_json(args.instance)
     epsilon = args.epsilon if args.epsilon is not None else file_epsilon
-    method = args.method
-    if method == "auto":
-        method = "single" if instance.grid.num_capacities == 1 else "reduced"
-    if method == "single":
+    if args.method == "relaxed":
+        result = solve_multi_relaxed(instance, *([] if epsilon is None else [epsilon]))
+    elif args.method == "auto" and instance.grid.num_capacities == 1:
         result = solve_single_capacity(instance)
-    elif method == "reduced":
+    else:
         result = solve_multi_reduced(instance)
-    else:  # relaxed
-        result = solve_multi_relaxed(
-            instance, epsilon=epsilon if epsilon is not None else DEFAULT_EPSILON
-        )
     report = solve_report(instance, result, args.tol)
     _write_out(report, args.out)
     _print_menu(report["menu"])
@@ -458,11 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute an optimal contract for an instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument(
-        "--method", choices=("auto", "single", "reduced", "relaxed"), default="auto"
-    )
+    p_solve.add_argument("--method", choices=("auto", "reduced", "relaxed"), default="auto")
     p_solve.add_argument("--epsilon", type=float, default=None,
-                         help="relaxation tolerance (relaxed method)")
+                         help="relaxation tolerance (--method relaxed only)")
     add_common(p_solve, cmd_solve, tol=True)
 
     p_verify = sub.add_parser("verify", help="audit a contract against an instance")

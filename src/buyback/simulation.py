@@ -48,7 +48,6 @@ from .model import (
     TypeGrid,
     ValidationError,
     check_shapes,
-    check_tol,
 )
 
 TIE_TRUTHFUL_FIRST = "truthful_first"
@@ -105,7 +104,7 @@ class SimulationSummary:
 
 
 def _choices_at(
-    grid: TypeGrid, contract: Contract, ks: np.ndarray, l: int, tie_break: str, tol: float
+    grid: TypeGrid, contract: Contract, ks: np.ndarray, l: int, tie_break: str
 ) -> np.ndarray:
     """Chosen flat item code k2 * L + l2 for valuations ``ks`` at capacity ``l``.
 
@@ -117,7 +116,7 @@ def _choices_at(
     utilities = np.multiply.outer(-grid.valuations[ks], x)
     utilities += p
     best = np.maximum(np.max(utilities, axis=1, where=affordable, initial=-math.inf), 0.0)
-    tied = utilities >= (best - tol)[:, None]
+    tied = utilities >= (best - CHOICE_TOL)[:, None]
     tied &= affordable
     if tie_break == TIE_TRUTHFUL_FIRST:
         own = ks * grid.num_capacities + l
@@ -132,25 +131,23 @@ def best_response(
     contract: Contract,
     true_type: tuple[int, int],
     tie_break: str = TIE_TRUTHFUL_FIRST,
-    tol: float = CHOICE_TOL,
 ) -> tuple[int, int] | None:
     """Utility-maximizing choice of a client with the given true type.
 
     Only items whose repurchase amount fits the client's capacity are
-    selectable; opting out is always available and worth 0.  Ties within
-    ``tol`` go to the truthful item first (then the lexicographically lowest
-    item) in ``truthful_first`` mode, or to the highest-payment item (then
-    the lexicographically lowest) in ``max_payment`` mode.  A client
-    indifferent between signing and opting out signs.  ``tol`` must be
-    finite and non-negative.
+    selectable; opting out is always available and worth 0.  Utility gaps
+    below ``CHOICE_TOL`` are ties, as in ``simulate``; they go to the
+    truthful item first (then the lexicographically lowest item) in
+    ``truthful_first`` mode, or to the highest-payment item (then the
+    lexicographically lowest) in ``max_payment`` mode.  A client indifferent
+    between signing and opting out signs.
     """
     check_shapes(grid, contract)
-    check_tol(tol)
     if tie_break not in _TIE_MODES:
         raise ValidationError(f"tie_break must be one of {_TIE_MODES}")
     k, l = true_type
     grid.check_item(k, l)
-    code = int(_choices_at(grid, contract, np.array([k]), l, tie_break, tol)[0])
+    code = int(_choices_at(grid, contract, np.array([k]), l, tie_break)[0])
     return OPT_OUT if code < 0 else divmod(code, grid.num_capacities)
 
 
@@ -290,7 +287,7 @@ def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str)
     for l in range(L):
         ks = np.flatnonzero(~keeps_own[:, l])
         if ks.size:
-            codes[ks, l] = _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
+            codes[ks, l] = _choices_at(grid, contract, ks, l, tie_break)
     codes = codes.T.ravel()
     # Code -1 picks the appended zero: opting out moves nothing.
     chosen_x = np.append(x.ravel(), 0.0)[codes]
@@ -342,14 +339,16 @@ def simulate(
 
 
 def estimate_misreport_gain(
-    instance: MarketInstance, contract: Contract, config: SimulationConfig
+    instance: MarketInstance, contract: Contract, replications: int, seed: int = 0
 ) -> float:
-    """Largest observed utility gain from misreporting, over sampled types.
+    """Largest observed utility gain from misreporting, over the types that
+    ``simulate`` draws with ``SimulationConfig(replications, seed)``.
 
     The gain of a sampled type is the best affordable item's utility minus
     the truthful item's, floored at zero — the empirical counterpart of the
     exact regret, which it never exceeds.
     """
+    config = SimulationConfig(replications, seed)
     grid = instance.grid
     check_shapes(grid, contract)
     (best,) = _best_affordable_utility(grid, contract)

@@ -795,7 +795,7 @@ def choice_tables_reference(instance: MarketInstance, contract: Contract, tie_br
     grid = instance.grid
     ks = np.arange(grid.num_valuations)
     codes = np.concatenate([
-        _choices_at(grid, contract, ks, l, tie_break, CHOICE_TOL)
+        _choices_at(grid, contract, ks, l, tie_break)
         for l in range(grid.num_capacities)
     ])
     # Code -1 picks the appended zero: opting out moves nothing.

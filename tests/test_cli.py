@@ -20,6 +20,8 @@ from buyback import (
     SolveMethod,
     SolveResult,
     ValidationError,
+    best_response,
+    estimate_misreport_gain,
     simulate,
     solve_multi_reduced,
 )
@@ -185,12 +187,6 @@ def test_exact_front_budget_is_invalid_input(tmp_path, capsys, monkeypatch, meth
     code, _, err = _in_process(capsys, "solve", inst, "--method", method, "--out", str(out))
     assert code == 2 and message in err
     assert not out.exists()
-
-
-def test_single_method_on_multi_capacity_instance(tmp_path):
-    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
-    proc = run_cli("solve", inst, "--method", "single")
-    assert proc.returncode == 2
 
 
 def test_relaxed_uses_default_epsilon(tmp_path):
@@ -578,12 +574,19 @@ def test_seed_at_the_edges_of_64_unsigned_bits(tmp_path, capsys):
 def test_removed_options_are_refused(tmp_path, capsys):
     # The relaxed descent is deterministic and only solve, verify and oracle
     # audit: restarts, seed, solve --seed and --tol elsewhere changed nothing.
+    # simulate always breaks ties at CHOICE_TOL, estimate_misreport_gain makes
+    # no choice, and solve --method auto already picks the single-capacity
+    # solver on an L = 1 grid.
     instance, _, _ = parse_instance(INSTANCE_L2)
     for keyword in ("restarts", "seed"):
         with pytest.raises(TypeError, match=keyword):
             solver.solve_multi_relaxed(instance, 1e-3, **{keyword: 1})
         with pytest.raises(TypeError, match=keyword):
             solver.relaxed_schedule(instance, (1e-3,), **{keyword: 1})
+    with pytest.raises(TypeError, match="tol"):
+        best_response(instance.grid, Contract(**_CONTRACT_L2), (1, 0), tol=0.0)
+    with pytest.raises(ValidationError, match="replications = .* must be an integer"):
+        estimate_misreport_gain(instance, Contract(**_CONTRACT_L2), SimulationConfig(10))
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
     out_path = tmp_path / "out.json"
@@ -594,6 +597,36 @@ def test_removed_options_are_refused(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
         assert not out_path.exists()
+    for doc in (INSTANCE_L1, INSTANCE_L2):
+        inst = write_json(tmp_path / "inst.json", doc)
+        code, out, err = _in_process(capsys, "solve", inst, "--method", "single",
+                                     "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'single'" in err
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("method", ["auto", "reduced"])
+@pytest.mark.parametrize("doc", [INSTANCE_L1, INSTANCE_L2], ids=["L1", "L2"])
+def test_exact_solve_refuses_epsilon(tmp_path, capsys, method, doc):
+    # Only the relaxed solver reads an epsilon; an exact solve used to take
+    # the flag, even a non-finite one, and ignore it.
+    inst = write_json(tmp_path / "inst.json", doc)
+    out_path = tmp_path / "out.json"
+    for epsilon in ("1e-3", "nan"):
+        code, out, err = _in_process(capsys, "solve", inst, "--method", method,
+                                     "--epsilon", epsilon, "--out", str(out_path))
+        assert (code, out) == (2, "") and "--method relaxed" in err
+        assert not out_path.exists()
+    # the file's epsilon key stays a default that an exact solve leaves unread
+    runs = []
+    for file_doc in (doc, {**doc, "epsilon": 1e-3}):
+        inst = write_json(tmp_path / "inst.json", file_doc)
+        code, out, _ = _in_process(capsys, "solve", inst, "--method", method,
+                                   "--out", str(out_path))
+        assert code == 0
+        runs.append((out, out_path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_every_cli_option_is_read_by_its_command(tmp_path, capsys):

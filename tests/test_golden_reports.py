@@ -119,6 +119,8 @@ CORPUS = [
     "regret {tmp}/b.json {tmp}/b_solve.json --tol nan",
     "solve {tmp}/b.json --method simplex",
     "simulate {tmp}/b.json {tmp}/b_solve.json --replications 0",
+    "solve {tmp}/a.json --method single",
+    "solve {tmp}/b.json --epsilon 0.001",
 ]
 
 DERIVED = {
