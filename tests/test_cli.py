@@ -189,6 +189,14 @@ def test_exact_front_budget_is_invalid_input(tmp_path, capsys, monkeypatch, meth
     assert not out.exists()
 
 
+def test_single_method_on_multi_capacity_instance(tmp_path):
+    # --method single is gone; auto picks the single-capacity solver on L = 1
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    proc = run_cli("solve", inst, "--method", "single")
+    assert proc.returncode == 2
+    assert "invalid choice: 'single'" in proc.stderr
+
+
 def test_relaxed_uses_default_epsilon(tmp_path):
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
     out = str(tmp_path / "r.json")

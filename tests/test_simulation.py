@@ -83,6 +83,15 @@ def test_best_response_max_payment_tie_break():
         best_response(grid, contract, (0, 0), tie_break="nope")
 
 
+def test_best_response_rejects_a_tol_that_is_not_finite_and_non_negative():
+    # Ties are judged at CHOICE_TOL only, as simulate judges them, so any tol
+    # is refused; a NaN tol once made every type opt out
+    for tol in (float("nan"), float("inf"), float("-inf"), -1.0, 0.0):
+        with pytest.raises(TypeError, match="tol"):
+            best_response(GRID_K2, IC_CONTRACT, (1, 0), tol=tol)
+    assert best_response(GRID_K2, IC_CONTRACT, (1, 0)) == (1, 0)
+
+
 def test_best_response_never_exceeds_capacity():
     rng = np.random.default_rng(109)
     for _ in range(100):
