@@ -17,10 +17,13 @@ find the best vertex without listing them: the objective is a sum of per-row
 terms over non-increasing levels, so a DP over rows and levels keeps, per
 (row, level), the single best suffix when M * D = 0, and otherwise the
 Pareto front of (linear objective, supply) pairs, from which the best
-crossing of every block is paired up.  Each DP row ranks its candidates in
-one sort and reads every level's front off that ranking; a vectorised screen
-passes on only the crossing blocks whose theta range may meet their segment.
-The few survivors are ranked by the full objective.
+crossing of every block is paired up.  A front point keeps its row's level
+and a parent pointer, not its level tuple; each DP row ranks its candidates
+in one sort, the tie on level tuples broken by an integer rank, and reads
+every level's front off that ranking.  A vectorised screen passes on only
+the crossing blocks whose theta range may meet their segment, their pairs
+are scored in chunks, and tuples are rebuilt only for each block's winner
+and the grid front.  The few survivors are ranked by the full objective.
 
 Three solving routes live here:
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +67,9 @@ from .payments import _clamped_payments
 #: plus crossing pairs.
 MAX_CANDIDATES = 10_000_000
 
-#: Blocks (a, b, m) per chunk of the exact solver's crossing screen.
+#: Size of each chunk of the exact solver's array work: (bound, candidate)
+#: cells of a front sweep, blocks (a, b, m) of the crossing screen, and
+#: pairs, or winners' levels, of the pairing.
 _SCREEN_BLOCK = 1 << 16
 
 #: Menus per block when the oracle builds its row tables, and top indices per
@@ -146,83 +152,125 @@ def _best_levels(gain: np.ndarray, mass: np.ndarray) -> tuple:
     return best[-1][2]
 
 
+class _Fronts(NamedTuple):
+    """One DP state: the fronts of every level bound, laid end to end.
+
+    Segment i (``g[ends[i]:ends[i + 1]]`` and so on) is one bound's front,
+    best g first.  A point's ``level`` is the level its state's row took,
+    and ``parent`` indexes the rest of its tuple in the state before; the
+    state of no rows has neither.
+    """
+
+    g: np.ndarray
+    s: np.ndarray
+    parent: np.ndarray | None
+    level: np.ndarray | None
+    ends: np.ndarray
+
+
 def _level_fronts(gain, mass, rows, suffix: bool, points: int):
     """Pareto fronts of partial level tuples, per rows taken and level bound.
 
-    Rows are added in the order of ``rows``.  With ``suffix`` each row's
-    level is prepended and ``out[n][j]`` holds tuples whose first level is
-    <= j; otherwise it is appended and ``out[n][j]`` holds tuples whose last
-    level is >= j (j >= 1).  A point is (sum of gain, sum of mass, levels),
-    and a front runs best g first: points rank by g, then s, then the
-    lexicographically larger level tuple, and one stays when its s beats
-    every higher-ranked point's.  ``points`` counts on from the given total;
-    CandidateCountError is raised once it passes MAX_CANDIDATES.
+    Rows are added in the order of ``rows``; ``out[n]`` is the state after n
+    of them.  With ``suffix`` each row's level is prepended and segment j
+    holds tuples whose first level is <= j; otherwise it is appended and
+    segment i holds tuples whose last level is >= width-1-i.  A point is
+    (sum of gain, sum of mass, levels), and a front runs best g first:
+    points rank by g, then s, then the lexicographically larger level tuple,
+    and one stays when its s beats every higher-ranked point's.  ``points``
+    counts on from the given total; CandidateCountError is raised once it
+    passes MAX_CANDIDATES.
 
-    A row's candidates, every level's front of the row before extended by
-    that level, are ranked in one sort.  Bounds are taken in order, each
-    adding its level's candidates to a mask over the ranks, and the front at
-    bound j is the masked points whose s beats the running maximum (the
-    maxima sweep of Kung, Luccio & Preparata, JACM 1975).  The rank order is
-    strict, so front(A + front(B)) = front(A + B), and these are the fronts
-    that merging one level at a time gives.
+    A state stores no level tuples: each point keeps its row's level and a
+    parent pointer.  A row's candidates are the points of the state before,
+    each extended by its segment's level.  Their tuples are distinct, and a
+    2-key sort orders them lexicographically: by level, then parent rank,
+    for suffixes and the other way round for prefixes.  That gives each a
+    strict rank, and the row sorts once by (-g, -s, -rank).  Bounds are
+    taken in order, each adding its level's candidates, and the front at a
+    bound is its candidates whose s beats the running maximum of those
+    ranked above (the maxima sweep of Kung, Luccio & Preparata, JACM 1975).
+    The rank order is strict, so front(A + front(B)) = front(A + B), and
+    these are the fronts that merging one level at a time gives.  The sweep
+    runs on a (bounds, candidates) mask over blocks of bounds of at most
+    _SCREEN_BLOCK cells, each block seeing only the front before it and its
+    own candidates.
     """
     width = gain.shape[1]
-    levels = range(width) if suffix else range(width - 1, 0, -1)
-    empty = np.zeros((1, 0), dtype=np.min_scalar_type(-width))
-    out = [[(np.zeros(1), np.zeros(1), empty)] * width]
+    levels = np.arange(width) if suffix else np.arange(width - 1, 0, -1)
+    levels = levels.astype(np.min_scalar_type(-width))
+    n = len(levels)
+    out = [_Fronts(np.zeros(n), np.zeros(n), None, None, np.arange(n + 1))]
+    rank = np.zeros(n, dtype=np.intp)  # each point's lexicographic rank among its row's tuples
     for k in rows:
-        parts = [out[-1][j] for j in levels]
-        sizes = [len(part[0]) for part in parts]
-        col = np.repeat(np.array(levels, dtype=empty.dtype), sizes)
-        g = np.concatenate([part[0] for part in parts]) + gain[k, col]
-        s = np.concatenate([part[1] for part in parts]) + mass[k, col]
-        lev = np.concatenate([part[2] for part in parts])
-        lev = np.hstack([col[:, None], lev] if suffix else [lev, col[:, None]])
-        order = np.lexsort((*-lev[:, ::-1].T, -s, -g))
-        g, s, lev = g[order], s[order], lev[order]
+        prev = out[-1]
+        # the candidates: every point of the state before, extended by its segment's level
+        seg = np.repeat(np.arange(n), prev.ends[1:] - prev.ends[:-1])
+        col = levels[seg]
+        g = prev.g + gain[k, col]
+        s = prev.s + mass[k, col]
+        order = np.lexsort((rank, seg) if suffix else (col, rank))
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        ends = np.cumsum(sizes).tolist()
-        row = [None] * width
-        member = np.zeros(len(order), dtype=bool)  # by rank: candidates at the levels so far
-        for j, start, end in zip(levels, [0, *ends], ends):
-            member[rank[start:end]] = True
-            front = member.nonzero()[0]
-            ranked = s[front]
-            keep = np.empty(len(front), dtype=bool)
-            keep[0] = True
-            np.greater(ranked[1:], np.maximum.accumulate(ranked)[:-1], out=keep[1:])
-            front = front[keep]
-            row[j] = (g[front], s[front], lev[front])
-            points += len(front)
+        order = np.lexsort((-rank, -s, -g))
+        step = max(1, _SCREEN_BLOCK // len(order))
+        live = np.zeros(len(order), dtype=bool)  # the last front and the block's candidates
+        fronts, sizes = [], []
+        for b0 in range(0, n, step):
+            b1 = min(b0 + step, n)
+            live[prev.ends[b0] : prev.ends[b1]] = True
+            cand = order[live[order]]  # by rank
+            s_live = s[cand]
+            member = seg[cand] < np.arange(b0 + 1, b1 + 1)[:, None]
+            best = np.maximum.accumulate(np.where(member, s_live, -np.inf), axis=1)
+            member[:, 1:] &= s_live[1:] > best[:, :-1]
+            live[cand] = member[-1]
+            fronts.append(cand[member.nonzero()[1]])
+            sizes.append(member.sum(axis=1))
+            points += len(fronts[-1])
             if points > MAX_CANDIDATES:
                 raise CandidateCountError(
                     f"exact solve needs more than {MAX_CANDIDATES} front points"
                 )
-        out.append(row)
+        idx = np.concatenate(fronts)
+        ends = np.zeros(n + 1, dtype=np.intp)
+        np.concatenate(sizes).cumsum(out=ends[1:])
+        out.append(_Fronts(g[idx], s[idx], idx, col[idx], ends))
+        rank = rank[idx]
     return out, points
 
 
-def _crossing_screen(w, caps, G, D, before, after):
+def _read_levels(states, idx, start, suffix: bool, out) -> None:
+    """Write the level tuples of the points ``idx`` of ``states[start]`` into ``out``.
+
+    ``start`` is per point, and a point fills only its own rows of ``out``
+    (one row of K levels per point).  Each state's level goes to its row,
+    and the parent pointer leads to the next state: down the list for
+    prefixes, up it for suffixes (the list reversed, so that ``states[k]``
+    holds rows k..K-1).
+    """
+    for t in range(len(states) - 1) if suffix else range(len(states) - 1, 0, -1):
+        on = (start <= t) if suffix else (start >= t)
+        out[on, t if suffix else t - 1] = states[t].level[idx[on]]
+        idx[on] = states[t].parent[idx[on]]
+
+
+def _crossing_screen(w, caps, G, D, s_before, s_after):
     """(a, b, m) of every crossing block that may hold a crossing, in order.
 
-    ``before[a][m]`` and ``after[b][m]`` are the fronts on either side of
-    block [a..b] in capacity segment m.  A block holds one only if its slope
-    is positive and its theta range meets the segment.  Here every block's
-    slope and constant are summed at once in another order.  Every term is
-    non-negative, so a slope is positive exactly when the exact one is, and
-    each sum is off by at most K*L + K + L unit roundoffs relative to its
-    value.  With x = D less the two fronts' supply, theta = (x - const) /
-    slope then moves by at most about three times that many roundoffs of
-    (|x| + const) / slope, which also bounds |theta| and so the rounding at
-    each threshold.  The slack is ten times that, so every block with a
-    theta inside its segment passes.
+    ``s_before[:, a, m]`` and ``s_after[:, b, m]`` are the first and last
+    supply of the fronts on either side of block [a..b] in capacity segment
+    m.  A block holds one only if its slope is positive and its theta range
+    meets the segment.  Here every block's slope and constant are summed at
+    once in another order.  Every term is non-negative, so a slope is
+    positive exactly when the exact one is, and each sum is off by at most
+    K*L + K + L unit roundoffs relative to its value.  With x = D less the
+    two fronts' supply, theta = (x - const) / slope then moves by at most
+    about three times that many roundoffs of (|x| + const) / slope, which
+    also bounds |theta| and so the rounding at each threshold.  The slack is
+    ten times that, so every block with a theta inside its segment passes.
     """
-    K, L = len(before), caps.size
-    s_before, s_after = (
-        np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1)
-        for fronts in (before, after)
-    )  # first and last supply of each front
+    K, L = s_before.shape[1], caps.size
     slope_k = np.cumsum(w[::-1], axis=0)[::-1].T  # (K, L): weight at capacities >= m
     const_k = np.zeros((K, L))
     const_k[:, 1:] = np.cumsum(w * caps[:, None], axis=0)[:-1].T  # and below m, times c
@@ -256,53 +304,107 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     >= m+1 and the rows after it at levels <= m, so any prefix pairs with
     any suffix, theta follows from supply == D, and the objective there is
     lin.  Per (a, b, m) the best pair with theta in the segment is kept.
-    The blocks that pass ``_crossing_screen`` are paired, and the exact
-    theta test is the pairing's own.
+    The blocks that pass ``_crossing_screen`` are paired in chunks of at
+    most _SCREEN_BLOCK pairs, each pair's theta and value taken by the same
+    operations as one block at a time, and the exact theta test is the
+    pairing's own.  Level tuples are read off the parent pointers only for
+    each block's winning pair and for the grid front.
     """
     K, L = coef.shape
     suffix, points = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
-    suffix.reverse()  # suffix[k][j]: rows k..K-1, level of row k <= j
+    suffix.reverse()  # suffix[k]: rows k..K-1, segment j: level of row k <= j
     prefix, points = _level_fronts(gain, mass, range(K - 1), False, points)
-    # prefix[a][j]: rows 0..a-1, level of row a-1 >= j
-    before = [prefix[a][1:] for a in range(K)]  # before[a][m], block [a..b] in segment m
-    after = [suffix[b + 1][:L] for b in range(K)]  # after[b][m]
+    # prefix[a]: rows 0..a-1, segment i: level of row a-1 >= L - i.  Block
+    # [a..b] in segment m pairs prefix[a] at levels >= m+1 (its segment
+    # L-1-m) with suffix[b+1] at levels <= m (its segment m): each front's
+    # start and size as (K, L) arrays
+    ends = np.stack([f.ends for f in prefix[:K]])[:, ::-1]
+    lo_P, size_P = ends[:, 1:], ends[:, :-1] - ends[:, 1:]
+    ends = np.stack([f.ends for f in suffix[1:]])
+    lo_Q, size_Q = ends[:, :L], ends[:, 1 : L + 1] - ends[:, :L]
 
     # a sum of non-negative weights is positive iff one of them is: the first
     # block end b at which [a..b] x [m..L-1] holds a positive weight
     hit = np.logical_or.accumulate(w[::-1] > 0.0, axis=0)[::-1].T  # (K, L)
     first = np.minimum.accumulate(np.where(hit, np.arange(K)[:, None], K)[::-1], axis=0)[::-1]
     size_after = np.zeros((K + 1, L), dtype=np.int64)
-    size_after[:K] = np.cumsum([[len(f[0]) for f in row] for row in after[::-1]], axis=0)[::-1]
-    size_before = np.array([[len(f[0]) for f in row] for row in before], dtype=np.int64)
-    pairs = int(np.sum(size_before * np.take_along_axis(size_after, first, axis=0)))
+    size_after[:K] = np.cumsum(size_Q[::-1], axis=0)[::-1]
+    pairs = int(np.sum(size_P * np.take_along_axis(size_after, first, axis=0)))
     if points + pairs > MAX_CANDIDATES:
         raise CandidateCountError(
             f"exact solve needs {points} front points and {pairs} crossing pairs "
             f"(limit {MAX_CANDIDATES})"
         )
 
+    gP, sP, off_P = _end_to_end(prefix[:K])
+    gQ, sQ, off_Q = _end_to_end(suffix[1:])
+    lo_P, lo_Q = lo_P + off_P[:, None], lo_Q + off_Q[:, None]
+    blocks = _crossing_screen(
+        w, caps, G, D,
+        np.stack([sP[lo_P], sP[lo_P + size_P - 1]]), np.stack([sQ[lo_Q], sQ[lo_Q + size_Q - 1]]),
+    )
+    # per block, slope, constant and coefficient sum, each summed as np.sum
+    # sums it one block at a time
+    add = np.add.reduce
+    slope, const, scale = np.array([
+        (add(w[m:, a : b + 1], axis=None), add(w[:m, a : b + 1] * caps[:m, None], axis=None),
+         add(coef[a : b + 1, m:], axis=None))
+        for a, b, m in blocks
+    ]).reshape(-1, 3).T
+    a, b, m = np.array(blocks, dtype=np.intp).reshape(-1, 3).T
+    lo_G, hi_G = G[m] - 1e-12, G[m + 1] + 1e-12
+    lo_P, lo_Q, size_Q = lo_P[a, m], lo_Q[b, m], size_Q[b, m]
+    count = size_P[a, m] * size_Q  # pairs per block, row-major over (prefix, suffix)
+    end = np.cumsum(count)
+    begin = end - count
     H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
+    rows = np.arange(K)
     crossings = []
-    for a, b, m in _crossing_screen(w, caps, G, D, before, after):
-        slope = float(np.sum(w[m:, a : b + 1]))
-        const = float(np.sum(w[:m, a : b + 1] * caps[:m, None]))
-        gP, sP, levP = before[a][m]
-        gQ, sQ, levQ = after[b][m]
-        theta = (D - (sP[:, None] + sQ[None, :]) - const) / slope
-        inside = (theta >= G[m] - 1e-12) & (theta <= G[m + 1] + 1e-12)
-        if not inside.any():
-            continue
-        value = gP[:, None] + gQ[None, :] + float(np.sum(coef[a : b + 1, m:])) * theta
-        i, q = np.unravel_index(np.argmax(np.where(inside, value, -np.inf)), value.shape)
-        # theta again, the supply summed row by row in y order, so a
-        # crossing's coordinates do not depend on how the fronts were built
-        rest = sum(H[j, levP[i, j]] for j in range(a))
-        rest = rest + sum(H[b + 1 + j, levQ[q, j]] for j in range(K - 1 - b))
-        t = (D - rest - const) / slope
-        if G[m] - 1e-12 <= t <= G[m + 1] + 1e-12:
-            t = min(max(t, G[m]), G[m + 1])
-            crossings.append(np.concatenate([G[levP[i]], np.full(b - a + 1, t), G[levQ[q]]]))
-    return suffix[0][L][2], crossings, points, pairs
+    start = 0
+    while start < len(blocks):
+        stop = min(
+            max(start + 1, int(np.searchsorted(end, begin[start] + _SCREEN_BLOCK, "right"))),
+            start + max(1, _SCREEN_BLOCK // K),  # winners' tuples: at most that many levels
+        )
+        blk = np.repeat(np.arange(start, stop), count[start:stop])
+        i, q = np.divmod(np.arange(begin[start], end[stop - 1]) - begin[blk], size_Q[blk])
+        i += lo_P[blk]
+        q += lo_Q[blk]
+        theta = (D - (sP[i] + sQ[q]) - const[blk]) / slope[blk]
+        inside = (theta >= lo_G[blk]) & (theta <= hi_G[blk])
+        value = np.where(inside, gP[i] + gQ[q] + scale[blk] * theta, -np.inf)
+        # each block's first argmax, as np.argmax takes it, where theta is inside
+        heads = begin[start:stop] - begin[start]
+        top = np.maximum.reduceat(value, heads)[blk - start]
+        pick = np.minimum.reduceat(np.where(value == top, np.arange(len(blk)), len(blk)), heads)
+        won = np.flatnonzero(np.logical_or.reduceat(inside, heads))
+        pick, n = pick[won], won + start
+        levels = np.zeros((len(n), K), dtype=suffix[0].level.dtype)
+        _read_levels(prefix, i[pick] - off_P[a[n]], a[n], False, levels)
+        _read_levels(suffix, q[pick] - off_Q[b[n]], b[n] + 1, True, levels)
+        # theta again, the supply summed row by row in y order, left to right
+        # as Python's sum takes it, so that a crossing's coordinates do not
+        # depend on how the fronts were built; the zeros padding other rows
+        # change no sum but the sign of a zero one, and D > 0 hides that
+        supply = H[rows, levels]
+        rest = np.where(rows < a[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
+        rest = rest + np.where(rows > b[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
+        t = (D - rest - const[n]) / slope[n]
+        ok = (lo_G[n] <= t) & (t <= hi_G[n])
+        t = np.minimum(np.maximum(t, G[m[n]]), G[m[n] + 1])
+        block = (rows >= a[n, None]) & (rows <= b[n, None])
+        crossings.extend(np.where(block, t[:, None], G[levels])[ok])
+        start = stop
+    grid = np.arange(suffix[0].ends[L], suffix[0].ends[L + 1])
+    levels = np.zeros((len(grid), K), dtype=suffix[0].level.dtype)
+    _read_levels(suffix, grid, np.zeros(len(grid), dtype=np.intp), True, levels)
+    return levels, crossings, points, pairs
+
+
+def _end_to_end(states):
+    """g and s of ``states`` laid end to end, and the offset of each state."""
+    off = np.cumsum([0] + [len(f.g) for f in states[:-1]])
+    return np.concatenate([f.g for f in states]), np.concatenate([f.s for f in states]), off
 
 
 def _exact_allocation(instance: MarketInstance, coef: np.ndarray, w: np.ndarray):
@@ -646,8 +748,8 @@ def _descent(x, coef, wk, caps, M, D, epsilon):
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < math.inf:
         raise ValidationError(
-            f"epsilon = {epsilon} must be positive and finite; use solve_multi_reduced "
-            "for the exact complementarity program"
+            f"epsilon = {epsilon} must be positive and finite; the exact complementarity "
+            "program is solve_multi_reduced, or solve --method reduced in the CLI"
         )
 
 

@@ -637,6 +637,18 @@ def test_exact_solve_refuses_epsilon(tmp_path, capsys, method, doc):
     assert runs[0] == runs[1]
 
 
+def test_relaxed_epsilon_zero_names_the_exact_method_of_the_cli(tmp_path, capsys):
+    # epsilon = 0 is the exact complementarity program: the message names the
+    # CLI's way to it as well as the Python function
+    inst = write_json(tmp_path / "b.json", INSTANCE_L2)
+    out_path = tmp_path / "out.json"
+    code, out, err = _in_process(capsys, "solve", inst, "--method", "relaxed",
+                                 "--epsilon", "0", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "--method reduced" in err and "solve_multi_reduced" in err
+    assert not out_path.exists()
+
+
 def test_every_cli_option_is_read_by_its_command(tmp_path, capsys):
     # An option its command never reads changes nothing; none may be offered.
     inst = write_json(tmp_path / "inst.json", INSTANCE_L2)

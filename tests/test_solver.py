@@ -417,8 +417,9 @@ def test_exact_crossing_budget_is_checked_before_the_screen(monkeypatch):
     # L = 1 and all mass on the middle valuation: every front holds at most
     # two points, yet each of the (K/2)^2 blocks holding that row has a
     # crossing theta in [0, c], so a screen run before the count would keep
-    # all of them; the budget is scaled down with K, since the fronts alone
-    # take a minute at K = 10^4
+    # all of them; the budget is scaled down so that this K is refused: the
+    # default one passes its 250,500 pairs, and up to as many crossings of
+    # 1,000 entries would be built
     K = 1000
     probs = np.zeros((1, K))
     probs[0, K // 2] = 1.0
@@ -433,6 +434,20 @@ def test_exact_crossing_budget_is_checked_before_the_screen(monkeypatch):
     with pytest.raises(CandidateCountError, match="2999 front points and 250500 crossing pairs"):
         solve_multi_reduced(inst)
     assert time.perf_counter() - start < 2.0
+
+
+def test_exact_fronts_at_ten_thousand_rows_are_refused_within_seconds():
+    # the same kind of instance at K = 10^4 and the default budget: 29,999
+    # front points of at most two points each, whose rows once took over a
+    # minute when every row sorted on all its level columns
+    K = 10_000
+    probs = np.zeros((1, K))
+    probs[0, K // 2] = 1.0
+    inst = one_client_instance(np.arange(1.0, K + 1.0), [1.0], probs, K + 1.0, 2.0, 0.5)
+    start = time.perf_counter()
+    with pytest.raises(CandidateCountError, match="29999 front points and 25005000 crossing pairs"):
+        solve_multi_reduced(inst)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_exact_matches_enumeration():
@@ -477,11 +492,32 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def front_lists(states, suffix: bool):
+    """``_level_fronts``'s states as lists ``out[n][j]`` of (g, s, levels)
+    fronts per level bound j, each point's levels rebuilt by following its
+    parent pointers.  A prefix state keeps no bound-0 front: ``out[n][0]``
+    is None there."""
+    width = len(states[0].ends) - (1 if suffix else 0)
+    out = []
+    for n, state in enumerate(states):
+        row = [None] * width
+        for i, (lo, hi) in enumerate(zip(state.ends[:-1], state.ends[1:])):
+            levels = np.zeros((hi - lo, n), dtype=np.min_scalar_type(-width))
+            at = np.arange(lo, hi)
+            for t in range(n, 0, -1):  # the newest level first
+                levels[:, n - t if suffix else t - 1] = states[t].level[at]
+                at = states[t].parent[at]
+            row[i if suffix else width - 1 - i] = (state.g[lo:hi], state.s[lo:hi], levels)
+        out.append(row)
+    return out
+
+
 def test_exact_dp_matches_reference_bitwise():
-    # fronts (g, s, levels, dtype, order, point count), grid levels,
-    # crossings and crossing pairs against one Pareto sort per (row, level)
-    # and the two-sum block loop, over tie-heavy integer grids, point masses,
-    # zero-weight capacities, K = 1 and L = 1
+    # fronts (g, s, levels rebuilt from the parent pointers, dtype, order,
+    # point count), grid levels, crossings and crossing pairs against one
+    # Pareto sort per (row, level) and the two-sum block loop, over
+    # tie-heavy integer grids, point masses, zero-weight capacities, K = 1
+    # and L = 1
     rng = np.random.default_rng(211)
     crossings = single_row = single_capacity = 0
     for i in range(1000):
@@ -495,12 +531,13 @@ def test_exact_dp_matches_reference_bitwise():
             got, points = _level_fronts(gain, mass, rows, suffix, start)
             ref, ref_points = level_fronts_reference(gain, mass, rows, suffix, start)
             assert points == ref_points
+            got = front_lists(got, suffix)
             assert len(got) == len(ref)
-            for got_row, ref_row in zip(got, ref):
+            for n, (got_row, ref_row) in enumerate(zip(got, ref)):
                 assert len(got_row) == len(ref_row)
                 for got_front, ref_front in zip(got_row, ref_row):
-                    if ref_front is None:
-                        assert got_front is None
+                    if got_front is None:  # the reference's empty state has a bound 0
+                        assert ref_front is None or (not suffix and n == 0)
                     else:
                         assert all(map(same_bits, got_front, ref_front))
         got = _penalty_candidates(gain, mass, coef, w, caps, G, X, inst.demand_floor)
@@ -530,9 +567,9 @@ def test_crossing_screen_keeps_every_block_the_exact_checks_keep(monkeypatch):
         X = np.minimum(caps[:, None], G[None, :])
         gain = rng.integers(-2, 3, (K, L + 1)).astype(float)
         mass = w.T @ X
-        suffix, _ = _level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)
+        suffix = front_lists(_level_fronts(gain, mass, range(K - 1, -1, -1), True, 0)[0], True)
         suffix.reverse()
-        prefix, _ = _level_fronts(gain, mass, range(K - 1), False, 0)
+        prefix = front_lists(_level_fronts(gain, mass, range(K - 1), False, 0)[0], False)
         live = [
             (a, b, m)
             for a in range(K)
@@ -551,16 +588,40 @@ def test_crossing_screen_keeps_every_block_the_exact_checks_keep(monkeypatch):
         D *= 1.0 + int(rng.integers(-4, 5)) * np.finfo(float).eps
         with np.errstate(over="ignore"):  # subnormal slopes send theta to inf
             kept = theta_kept_blocks_reference(w, caps, G, D, prefix, suffix)
-        before = [prefix[a][1:] for a in range(K)]
-        after = [suffix[b + 1][:L] for b in range(K)]
-        screened = _crossing_screen(w, caps, G, D, before, after)
+        # the first and last supply of the fronts before and after each block
+        s_before, s_after = (
+            np.array([[(f[1][0], f[1][-1]) for f in row] for row in fronts]).transpose(2, 0, 1)
+            for fronts in ([prefix[a][1:] for a in range(K)], [suffix[b + 1][:L] for b in range(K)])
+        )
+        screened = _crossing_screen(w, caps, G, D, s_before, s_after)
         assert set(kept) <= set(screened)
         assert screened == sorted(screened)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_SCREEN_BLOCK", 1)
-            assert _crossing_screen(w, caps, G, D, before, after) == screened
+            assert _crossing_screen(w, caps, G, D, s_before, s_after) == screened
         kept_total += len(kept)
     assert kept_total >= 1000
+
+
+def test_penalty_candidates_do_not_depend_on_the_chunk_size(monkeypatch):
+    # fronts swept one bound at a time, or a few bounds per block, and
+    # crossing pairs scored one block, or a few pairs, per chunk give the
+    # same bits as the default chunks and as the reference block loop
+    rng = np.random.default_rng(211)
+    for i in range(300):
+        inst = exact_dp_draw(rng, i)
+        args = (*dp_inputs(inst), inst.demand_floor)
+        default = _penalty_candidates(*args)
+        ref = penalty_candidates_reference(*args)
+        for size in (1, 5, 40):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SCREEN_BLOCK", size)
+                got = _penalty_candidates(*args)
+            for other in (default, ref):
+                assert same_bits(got[0], other[0])
+                assert got[2:] == other[2:]
+                assert len(got[1]) == len(other[1])
+                assert all(map(same_bits, got[1], other[1]))
 
 
 def test_reduced_form_equivalence_sample():
