@@ -27,9 +27,13 @@ words, regrouped client-major: one row of draws per client.  Philox hands
 out its words in sequence however they are grouped, and each
 per-replication total is numpy's pairwise sum over the clients, taken with
 whole client rows for terms from one complex table x + 1j p, so one gather
-serves both totals and the blocks change no bit of the result.  What stays
-resident is the lookup tables, one block of cells, and 16 bytes per
-replication (its total repurchase and its utility).
+serves both totals and the blocks change no bit of the result.  Each block
+is released before the next is drawn.  The total repurchase is summed by
+numpy's own pairwise tree as the blocks arrive (``_StreamedSum``), so what
+stays resident is the lookup tables, one block of cells, and 8 bytes per
+replication: its utility, which the standard deviation reads again, a
+block at a time, once the mean is known.  A footprint flat in the replication count would have
+to draw every type a second time instead.
 """
 
 from __future__ import annotations
@@ -59,8 +63,12 @@ CHOICE_TOL = 1e-9
 
 # Guide-table buckets: a power of two, so u * _BUCKETS is exact.
 _BUCKETS = 1 << 16
-# Replications drawn, looked up and aggregated at a time.
+# Replications drawn, looked up and aggregated at a time, and the largest
+# subtree of a sum over replications that one np.add.reduce call takes.
 _BLOCK = 1 << 13
+
+#: Largest replication count ``SimulationConfig`` takes: 0.8 GB of utilities.
+MAX_REPLICATIONS = 10**8
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,10 @@ class SimulationConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.replications < 1:
             raise ValidationError(f"replications = {self.replications} must be >= 1")
+        if self.replications > MAX_REPLICATIONS:
+            raise ValidationError(
+                f"replications = {self.replications} is over MAX_REPLICATIONS = {MAX_REPLICATIONS}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed = {self.seed} must fit in 64 unsigned bits")
         if self.tie_break not in _TIE_MODES:
@@ -200,15 +212,26 @@ def _type_blocks(instance: MarketInstance, config: SimulationConfig):
     bitgen = np.random.Philox(key=config.seed)
     cums = [np.cumsum(client.probs.ravel()) for client in instance.clients]
     tables = [_guide_table(cum) for cum in cums]
-    n = instance.num_clients
     for lo in range(0, config.replications, _BLOCK):
-        rows = min(_BLOCK, config.replications - lo)
-        # Replication-major, as Generator.random((rows, n)) consumes them.
-        words = bitgen.random_raw(rows * n).reshape(rows, n).T
-        types = np.empty((n, rows), dtype=np.intp)
-        for i, (cum, table) in enumerate(zip(cums, tables)):
-            types[i] = _lookup(cum, table, words[i])
-        yield types
+        # Keeps no reference to the block it yields, nor to its words.
+        yield _draw_types(bitgen, cums, tables, min(_BLOCK, config.replications - lo))
+
+
+def _draw_types(bitgen, cums: list, tables: list, rows: int) -> np.ndarray:
+    """The next (n, rows) block of ``_type_blocks``."""
+    n = len(cums)
+    # Replication-major, as Generator.random((rows, n)) consumes them.
+    words = bitgen.random_raw(rows * n).reshape(rows, n).T
+    types = np.empty((n, rows), dtype=np.intp)
+    for i, (cum, table) in enumerate(zip(cums, tables)):
+        types[i] = _lookup(cum, table, words[i])
+    return types
+
+
+def _split(n: int) -> int:
+    """Where numpy's pairwise sum splits n terms: near the middle, at a
+    multiple of 8."""
+    return n // 2 - n // 2 % 8
 
 
 def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.ndarray:
@@ -217,7 +240,7 @@ def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.
     lanes, their tree, then the rest in sequence; past 128, two halves split
     at a multiple of 8."""
     if n > 128:
-        half = n // 2 - n // 2 % 8
+        half = _split(n)
         total = _pairwise_sum(values, types, lo, half)
         total += _pairwise_sum(values, types, lo + half, n - half)
         return total
@@ -261,6 +284,70 @@ def _row_sums(values: np.ndarray, types: np.ndarray) -> np.ndarray:
     total = _pairwise_sum(values, types, 0, types.shape[0])
     total += 0.0  # the identity: turns a -0.0 total into 0.0
     return total
+
+
+def _leaf_sizes(n: int):
+    """Sizes, in order, of the subtrees of at most _BLOCK terms that numpy's
+    pairwise sum of n terms splits into."""
+    if n <= _BLOCK:
+        yield n
+    else:
+        half = _split(n)
+        yield from _leaf_sizes(half)
+        yield from _leaf_sizes(n - half)
+
+
+def _fold(leaf_sums, n: int) -> float:
+    """numpy's pairwise sum of n terms from the sums of its ``_leaf_sizes(n)``
+    subtrees, taken from the iterator ``leaf_sums`` in order."""
+    if n <= _BLOCK:
+        return next(leaf_sums)
+    half = _split(n)
+    left = _fold(leaf_sums, half)
+    return left + _fold(leaf_sums, n - half)
+
+
+class _StreamedSum:
+    """``np.add.reduce`` of n float64 values that arrive in order, in pieces
+    of any size, bit for bit, holding back fewer than _BLOCK of them.
+
+    On a contiguous float64 array numpy's sum is 0.0 plus its pairwise sum.
+    Each subtree of at most _BLOCK values is reduced by ``np.add.reduce`` as
+    soon as its last value arrives, and ``total`` folds these leaf sums in
+    the tree's order.  The 0.0 that each leaf's reduce adds can only turn a
+    -0.0 leaf into +0.0, which changes no nonzero sum, and the total adds
+    0.0 itself.
+    """
+
+    def __init__(self, n: int):
+        self._n = n
+        self._sizes = _leaf_sizes(n)
+        self._size = next(self._sizes)
+        self._held = np.empty(0)
+        self._sums = []
+
+    def add(self, values: np.ndarray) -> None:
+        values = np.concatenate([self._held, values])
+        at = 0
+        while 0 < self._size <= len(values) - at:
+            self._sums.append(np.add.reduce(values[at : at + self._size]))
+            at += self._size
+            self._size = next(self._sizes, 0)
+        self._held = values[at:].copy()
+
+    def total(self) -> float:
+        return 0.0 + _fold(iter(self._sums), self._n)
+
+
+def _std(values: np.ndarray, mean: float) -> float:
+    """``values.std(ddof=1)`` given ``values.mean()``, bit for bit, squaring
+    one block of deviations at a time."""
+    squares = _StreamedSum(len(values))
+    for lo in range(0, len(values), _BLOCK):
+        deviation = values[lo : lo + _BLOCK] - mean
+        deviation *= deviation
+        squares.add(deviation)
+    return math.sqrt(squares.total() / (len(values) - 1))
 
 
 def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str):
@@ -312,26 +399,29 @@ def simulate(
     chosen.real, chosen.imag = chosen_x, chosen_p
 
     R = config.replications
-    total_x = np.empty(R)
+    D = instance.demand_floor
     utility = np.empty(R)
+    repurchase = _StreamedSum(R)
+    shortfalls = 0
     type_counts = np.zeros(len(codes), dtype=np.intp)
     for lo, types in zip(range(0, R, _BLOCK), _type_blocks(instance, config)):
-        rows = slice(lo, lo + types.shape[1])
         total = _row_sums(chosen, types)  # row sums: the same bits in any block
-        total_x[rows] = total.real
-        shortfall = np.minimum(0.0, total.real - instance.demand_floor)
-        utility[rows] = instance.alpha * total.real - total.imag + instance.penalty * shortfall
         type_counts += np.bincount(types.ravel(), minlength=len(codes))
+        x = total.real
+        repurchase.add(x)
+        shortfalls += int(np.count_nonzero(x < D))
+        shortfall = np.minimum(0.0, x - D)
+        utility[lo : lo + len(x)] = instance.alpha * x - total.imag + instance.penalty * shortfall
+        del types, total, x, shortfall  # released before the next block is drawn
 
-    mean = float(utility.mean())
-    std_error = float(utility.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+    mean = utility.mean()
     counts = np.zeros(K * L + 1, dtype=np.intp)
     np.add.at(counts, codes + 1, type_counts)
     return SimulationSummary(
-        mean_utility=mean,
-        std_error=std_error,
-        mean_total_repurchase=float(total_x.mean()),
-        shortfall_frequency=float(np.mean(total_x < instance.demand_floor)),
+        mean_utility=float(mean),
+        std_error=_std(utility, mean) / math.sqrt(R) if R > 1 else 0.0,
+        mean_total_repurchase=float(repurchase.total() / R),
+        shortfall_frequency=shortfalls / R,  # np.mean of the booleans, exactly
         item_counts=counts[1:].reshape(K, L),
         opt_out_count=int(counts[0]),
         replications=R,

@@ -579,6 +579,23 @@ def test_seed_at_the_edges_of_64_unsigned_bits(tmp_path, capsys):
     assert code == 0 and "seed 0" in out
 
 
+def test_replications_over_the_cap_exit_2_before_anything_is_allocated(tmp_path, capsys,
+                                                                      monkeypatch):
+    # The count is refused when the config is built; a simulate that ran
+    # would end the command with exit 3 instead of allocating 745 GiB.
+    def must_not_run(*args):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(cli_mod, "simulate", must_not_run)
+    inst = write_json(tmp_path / "inst.json", INSTANCE_L2)
+    contract = write_json(tmp_path / "c.json", _CONTRACT_L2)
+    for replications in ("100000001", "100000000000"):
+        code, out, err = _in_process(capsys, "simulate", inst, contract,
+                                     "--replications", replications)
+        assert (code, out) == (2, "")
+        assert f"replications = {replications} is over MAX_REPLICATIONS = 100000000" in err
+
+
 def test_removed_options_are_refused(tmp_path, capsys):
     # The relaxed descent is deterministic and only solve, verify and oracle
     # audit: restarts, seed, solve --seed and --tol elsewhere changed nothing.

@@ -24,11 +24,14 @@ from buyback import simulation
 from buyback.simulation import (
     _BLOCK,
     _BUCKETS,
+    MAX_REPLICATIONS,
     _choice_tables,
     _choices_at,
     _guide_table,
     _lookup,
     _row_sums,
+    _std,
+    _StreamedSum,
     _type_blocks,
 )
 from helpers import (
@@ -188,6 +191,16 @@ def test_simulation_config_validation():
         with pytest.raises(ValidationError, match=f"seed = {seed} must fit in 64 unsigned bits"):
             SimulationConfig(replications=10, seed=seed)
 
+
+def test_replications_over_the_cap_are_refused_before_any_draw():
+    assert SimulationConfig(MAX_REPLICATIONS).replications == MAX_REPLICATIONS
+    inst = MarketInstance(GRID_K2, (ClientDistribution([[0.5, 0.5]]),), 2.0, 0.0, 0.0)
+    for replications in (MAX_REPLICATIONS + 1, 10**11):
+        message = f"replications = {replications} is over MAX_REPLICATIONS = {MAX_REPLICATIONS}"
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(replications)
+        with pytest.raises(ValidationError, match=message):
+            estimate_misreport_gain(inst, IC_CONTRACT, replications)
 
 
 @pytest.mark.parametrize(
@@ -470,7 +483,7 @@ def test_sampler_at_table_dtype_edges(num_types):
 @pytest.mark.parametrize("tie_break", ["truthful_first", "max_payment"])
 def test_streamed_simulation_matches_whole_array_reference(tie_break):
     rng = np.random.default_rng(419)
-    for i, replications in enumerate([1, 2, 500, _BLOCK, 3 * _BLOCK + 7] * 4):
+    for i, replications in enumerate([1, 2, 500, _BLOCK, 3 * _BLOCK + 7] * 4 + [100_000] * 4):
         inst = random_instance(rng, max_k=6, max_l=6, max_n=12, point_mass=i % 5 == 0)
         inst = MarketInstance(inst.grid, inst.clients, inst.alpha,
                               float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.0, 15.0)))
@@ -509,6 +522,28 @@ def test_row_sums_match_numpy_sum_bitwise(n):
     assert repr(float(got[0].real)) == repr(float(got[0].imag)) == "0.0"  # not -0.0
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 24_583, 100_000, 123_457, 10**6])
+def test_streamed_sum_matches_numpy_reduction_bitwise(n):
+    # simulate sums over replications with numpy's own pairwise tree, one
+    # subtree at a time as the blocks arrive; a numpy that reduces a long
+    # array another way fails here first.  Magnitudes 1e-20..1e20 make every
+    # reordering visible, and signed zeros test the 0.0 start.
+    rng = np.random.default_rng(461 + n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, size=n)
+    values[:8] = [-0.0, 0.0, -0.0, 1e20, -1e20, 1.0, -1.0, 5e-324][:n]
+    cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 40))))
+    for data in (values, np.full(n, -0.0)):
+        streamed = _StreamedSum(n)
+        for piece in np.split(data, cuts):  # uneven pieces, empty ones too
+            streamed.add(piece)
+        total = streamed.total()
+        assert np.float64(total).tobytes() == np.add.reduce(data).tobytes()
+        assert np.float64(total / n).tobytes() == data.mean().tobytes()
+        if n > 1:
+            assert np.float64(_std(data, data.mean())).tobytes() == data.std(ddof=1).tobytes()
+
+
 def test_simulate_budget_150x150():
     # Budget: n = 2 clients on a 150 x 150 grid and 10,000 replications, under
     # 1 s and 16 MB of traced allocations, on a priced menu and on one with
@@ -532,18 +567,37 @@ def test_simulate_budget_150x150():
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def test_simulate_memory_does_not_scale_with_replications():
-    # Budget: n = 10 clients on a 10 x 10 grid, one million replications,
-    # under 64 MB of traced allocations (16 bytes per replication stay resident).
+def _memory_budget_case():
+    """n = 10 clients on a 10 x 10 grid, the README's memory budget case."""
     rng = np.random.default_rng(421)
     grid = random_grid(rng, k=10, l=10)
     inst = MarketInstance(grid, random_clients(rng, grid, 10), 2.0, 1.0, 5.0)
-    contract = random_feasible_contract(rng, grid)
+    return inst, random_feasible_contract(rng, grid)
+
+
+def _traced_simulate(inst, contract, replications):
     tracemalloc.start()
     try:
-        summary = simulate(inst, contract, SimulationConfig(replications=1_000_000, seed=3))
+        summary = simulate(inst, contract, SimulationConfig(replications=replications, seed=3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return summary, peak
+
+
+def test_simulate_memory_does_not_scale_with_replications():
+    # Budget: n = 10 clients on a 10 x 10 grid, one million replications,
+    # under 64 MB of traced allocations (one block of draws and 8 bytes per
+    # replication, its utility, stay resident).
+    summary, peak = _traced_simulate(*_memory_budget_case(), 1_000_000)
     assert int(np.sum(summary.item_counts)) + summary.opt_out_count == 10_000_000
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_simulate_keeps_eight_bytes_per_replication():
+    # A second million replications may add its 8 MB of utilities (7.6 MiB)
+    # and little else; 16 or 24 bytes per replication would add 15-23 MiB.
+    inst, contract = _memory_budget_case()
+    growth = (_traced_simulate(inst, contract, 2_000_000)[1]
+              - _traced_simulate(inst, contract, 1_000_000)[1])
+    assert growth < 10 * 2**20, f"growth {growth / 2**20:.1f} MB"
