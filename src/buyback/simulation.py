@@ -22,18 +22,18 @@ draw whose bucket holds no cumulative probability.  Only the other draws
 become doubles: a bucket holding one cumulative value settles them by one
 compare against it, one holding several by a binary search, so every draw
 equals ``searchsorted(cum, u, side="right")`` capped at the last type.
-Replications are drawn, looked up and aggregated in fixed blocks of raw
-words, regrouped client-major: one row of draws per client.  Philox hands
+Replications are drawn, looked up and aggregated in blocks of raw words,
+regrouped client-major (one row of draws per client): the leaves of
+numpy's pairwise tree over the replications (``_leaves``).  Philox hands
 out its words in sequence however they are grouped, and each
 per-replication total is numpy's pairwise sum over the clients, taken with
 whole client rows for terms from one complex table x + 1j p, so one gather
-serves both totals and the blocks change no bit of the result.  Each block
-is released before the next is drawn.  The total repurchase is summed by
-numpy's own pairwise tree as the blocks arrive (``_StreamedSum``), so what
-stays resident is the lookup tables, one block of cells, and 8 bytes per
-replication: its utility, which the standard deviation reads again, a
-block at a time, once the mean is known.  A footprint flat in the replication count would have
-to draw every type a second time instead.
+serves both totals and the blocks change no bit of the result.  A block is
+released before the next is drawn, once its repurchase sum, one leaf, is
+reduced (``_fold`` joins the leaves), so what stays resident is the lookup
+tables, one block of cells and 8 bytes per replication: its utility, which
+the standard deviation reads again a leaf at a time once the mean is known.
+A footprint flat in the replication count would draw every type twice.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ CHOICE_TOL = 1e-9
 
 # Guide-table buckets: a power of two, so u * _BUCKETS is exact.
 _BUCKETS = 1 << 16
-# Replications drawn, looked up and aggregated at a time, and the largest
-# subtree of a sum over replications that one np.add.reduce call takes.
+# The most replications drawn and aggregated at a time: blocks are the leaves
+# of numpy's pairwise tree over replications (6,248-6,252 rows at 100,000).
 _BLOCK = 1 << 13
 
 #: Largest replication count ``SimulationConfig`` takes: 0.8 GB of utilities.
@@ -208,13 +208,14 @@ def _lookup(cum: np.ndarray, table: np.ndarray, words: np.ndarray) -> np.ndarray
 def _type_blocks(instance: MarketInstance, config: SimulationConfig):
     """(n, rows) flat type indices, l-major, client-major: row i holds client
     i's draws for one block of consecutive replications, the same as
-    ``Generator.random((rows, n))`` would give column i."""
+    ``Generator.random((rows, n))`` would give column i.  The block widths
+    are ``_leaves(replications, _BLOCK)``."""
     bitgen = np.random.Philox(key=config.seed)
     cums = [np.cumsum(client.probs.ravel()) for client in instance.clients]
     tables = [_guide_table(cum) for cum in cums]
-    for lo in range(0, config.replications, _BLOCK):
+    for rows in _leaves(config.replications, _BLOCK):
         # Keeps no reference to the block it yields, nor to its words.
-        yield _draw_types(bitgen, cums, tables, min(_BLOCK, config.replications - lo))
+        yield _draw_types(bitgen, cums, tables, rows)
 
 
 def _draw_types(bitgen, cums: list, tables: list, rows: int) -> np.ndarray:
@@ -234,39 +235,65 @@ def _split(n: int) -> int:
     return n // 2 - n // 2 % 8
 
 
-def _pairwise_sum(values: np.ndarray, types: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """numpy's pairwise_sum, less its 0.0 start, of the n gathered rows
-    ``values[types[lo + i]]``: below 8 terms in sequence; up to 128, eight
-    lanes, their tree, then the rest in sequence; past 128, two halves split
-    at a multiple of 8."""
-    if n > 128:
+def _leaves(n: int, cap: int):
+    """Sizes, in order, of the subtrees of at most ``cap`` terms that numpy's
+    pairwise sum of n terms splits into.  Past ``cap`` terms each is more
+    than cap/2 - 8."""
+    if n <= cap:
+        yield n
+    else:
         half = _split(n)
-        total = _pairwise_sum(values, types, lo, half)
-        total += _pairwise_sum(values, types, lo + half, n - half)
-        return total
+        yield from _leaves(half, cap)
+        yield from _leaves(n - half, cap)
+
+
+def _fold(leaf_sums, n: int, cap: int):
+    """numpy's pairwise sum of n terms from the sums of its ``_leaves(n, cap)``
+    subtrees, taken from the iterator ``leaf_sums`` in order.  0.0 plus the
+    fold of the leaves' ``np.add.reduce`` is the whole array's: a leaf's own
+    0.0 start can only turn -0.0 into +0.0, and no nonzero sum tells them
+    apart."""
+    if n <= cap:
+        return next(leaf_sums)
+    half = _split(n)
+    left = _fold(leaf_sums, half, cap)
+    return left + _fold(leaf_sums, n - half, cap)
+
+
+def _pieces(values: np.ndarray, cap: int):
+    """Views of ``values`` along its first axis, one per ``_leaves``."""
+    lo = 0
+    for size in _leaves(len(values), cap):
+        yield values[lo : lo + size]
+        lo += size
+
+
+def _pairwise_sum(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """numpy's pairwise_sum, less its 0.0 start, of the n <= 128 gathered
+    rows ``values[rows[i]]``: below 8 terms in sequence, else eight lanes,
+    their tree, then the rest in sequence."""
+    n = len(rows)
     if n < 8:
-        total = values[types[lo]]
-        for i in range(lo + 1, lo + n):
-            total += values[types[i]]
-        return total
-    end = lo + n - n % 8
-    # Eight lanes, lane j summing rows lo + j, lo + j + 8, ... in sequence,
-    # then their tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)).  One lane at a
-    # time, each finished pair joined at once, so at most four rows are live.
-    lanes = []
-    for j in range(8):
-        lane = values[types[lo + j]]
-        for i in range(lo + j + 8, end, 8):
-            lane += values[types[i]]
-        lanes.append(lane)
-        size = j + 1
-        while size % 2 == 0:
-            right = lanes.pop()
-            lanes[-1] += right
-            size //= 2
-    (total,) = lanes
-    for i in range(end, lo + n):
-        total += values[types[i]]
+        total, end = values[rows[0]], 1
+    else:
+        end = n - n % 8
+        # Eight lanes, lane j summing rows j, j + 8, ... in sequence, then
+        # their tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)).  One lane at a time,
+        # each finished pair joined at once, so at most four rows are live.
+        lanes = []
+        for j in range(8):
+            lane = values[rows[j]]
+            for i in range(j + 8, end, 8):
+                lane += values[rows[i]]
+            lanes.append(lane)
+            size = j + 1
+            while size % 2 == 0:
+                right = lanes.pop()
+                lanes[-1] += right
+                size //= 2
+        (total,) = lanes
+    for i in range(end, n):
+        total += values[rows[i]]
     return total
 
 
@@ -281,73 +308,17 @@ def _row_sums(values: np.ndarray, types: np.ndarray) -> np.ndarray:
     two independent IEEE adds, so the real and imaginary parts each keep
     the tree of their own float table.
     """
-    total = _pairwise_sum(values, types, 0, types.shape[0])
+    sums = (_pairwise_sum(values, rows) for rows in _pieces(types, 128))
+    total = _fold(sums, len(types), 128)
     total += 0.0  # the identity: turns a -0.0 total into 0.0
     return total
 
 
-def _leaf_sizes(n: int):
-    """Sizes, in order, of the subtrees of at most _BLOCK terms that numpy's
-    pairwise sum of n terms splits into."""
-    if n <= _BLOCK:
-        yield n
-    else:
-        half = _split(n)
-        yield from _leaf_sizes(half)
-        yield from _leaf_sizes(n - half)
-
-
-def _fold(leaf_sums, n: int) -> float:
-    """numpy's pairwise sum of n terms from the sums of its ``_leaf_sizes(n)``
-    subtrees, taken from the iterator ``leaf_sums`` in order."""
-    if n <= _BLOCK:
-        return next(leaf_sums)
-    half = _split(n)
-    left = _fold(leaf_sums, half)
-    return left + _fold(leaf_sums, n - half)
-
-
-class _StreamedSum:
-    """``np.add.reduce`` of n float64 values that arrive in order, in pieces
-    of any size, bit for bit, holding back fewer than _BLOCK of them.
-
-    On a contiguous float64 array numpy's sum is 0.0 plus its pairwise sum.
-    Each subtree of at most _BLOCK values is reduced by ``np.add.reduce`` as
-    soon as its last value arrives, and ``total`` folds these leaf sums in
-    the tree's order.  The 0.0 that each leaf's reduce adds can only turn a
-    -0.0 leaf into +0.0, which changes no nonzero sum, and the total adds
-    0.0 itself.
-    """
-
-    def __init__(self, n: int):
-        self._n = n
-        self._sizes = _leaf_sizes(n)
-        self._size = next(self._sizes)
-        self._held = np.empty(0)
-        self._sums = []
-
-    def add(self, values: np.ndarray) -> None:
-        values = np.concatenate([self._held, values])
-        at = 0
-        while 0 < self._size <= len(values) - at:
-            self._sums.append(np.add.reduce(values[at : at + self._size]))
-            at += self._size
-            self._size = next(self._sizes, 0)
-        self._held = values[at:].copy()
-
-    def total(self) -> float:
-        return 0.0 + _fold(iter(self._sums), self._n)
-
-
 def _std(values: np.ndarray, mean: float) -> float:
     """``values.std(ddof=1)`` given ``values.mean()``, bit for bit, squaring
-    one block of deviations at a time."""
-    squares = _StreamedSum(len(values))
-    for lo in range(0, len(values), _BLOCK):
-        deviation = values[lo : lo + _BLOCK] - mean
-        deviation *= deviation
-        squares.add(deviation)
-    return math.sqrt(squares.total() / (len(values) - 1))
+    one leaf of deviations at a time."""
+    squares = (np.add.reduce(np.square(piece - mean)) for piece in _pieces(values, _BLOCK))
+    return math.sqrt((0.0 + _fold(squares, len(values), _BLOCK)) / (len(values) - 1))
 
 
 def _choice_tables(instance: MarketInstance, contract: Contract, tie_break: str):
@@ -401,17 +372,19 @@ def simulate(
     R = config.replications
     D = instance.demand_floor
     utility = np.empty(R)
-    repurchase = _StreamedSum(R)
+    repurchase = []  # one sum per leaf of numpy's tree over the replications
     shortfalls = 0
     type_counts = np.zeros(len(codes), dtype=np.intp)
-    for lo, types in zip(range(0, R, _BLOCK), _type_blocks(instance, config)):
+    lo = 0
+    for types in _type_blocks(instance, config):  # not zip: its tuple would hold a block
         total = _row_sums(chosen, types)  # row sums: the same bits in any block
         type_counts += np.bincount(types.ravel(), minlength=len(codes))
         x = total.real
-        repurchase.add(x)
+        repurchase.append(np.add.reduce(x))
         shortfalls += int(np.count_nonzero(x < D))
         shortfall = np.minimum(0.0, x - D)
         utility[lo : lo + len(x)] = instance.alpha * x - total.imag + instance.penalty * shortfall
+        lo += len(x)
         del types, total, x, shortfall  # released before the next block is drawn
 
     mean = utility.mean()
@@ -420,7 +393,7 @@ def simulate(
     return SimulationSummary(
         mean_utility=float(mean),
         std_error=_std(utility, mean) / math.sqrt(R) if R > 1 else 0.0,
-        mean_total_repurchase=float(repurchase.total() / R),
+        mean_total_repurchase=float((0.0 + _fold(iter(repurchase), R, _BLOCK)) / R),
         shortfall_frequency=shortfalls / R,  # np.mean of the booleans, exactly
         item_counts=counts[1:].reshape(K, L),
         opt_out_count=int(counts[0]),
@@ -443,4 +416,5 @@ def estimate_misreport_gain(
     check_shapes(grid, contract)
     (best,) = _best_affordable_utility(grid, contract)
     gain = (best - _truthful_utilities(grid, contract)).T.ravel()  # l-major type index
-    return max(0.0, *(float(np.max(gain[types])) for types in _type_blocks(instance, config)))
+    # map, unlike a generator expression, holds no block while the next is drawn.
+    return max(0.0, *map(lambda types: float(np.max(gain[types])), _type_blocks(instance, config)))

@@ -19,8 +19,8 @@ terms over non-increasing levels, so a DP over rows and levels keeps, per
 Pareto front of (linear objective, supply) pairs, from which the best
 crossing of every block is paired up.  A front point keeps its row's level
 and a parent pointer, not its level tuple; each DP row ranks its candidates
-in one sort, the tie on level tuples broken by an integer rank, and reads
-every level's front off that ranking.  A vectorised screen passes on only
+by a 2-key lexsort on (level, parent rank), sorts once on (-g, -s, -rank),
+and reads every level's front off that ranking.  A vectorised screen passes on only
 the crossing blocks whose theta range may meet their segment, their pairs
 are scored in chunks, and tuples are rebuilt only for each block's winner
 and the grid front.  The few survivors are ranked by the full objective.

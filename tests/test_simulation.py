@@ -27,11 +27,12 @@ from buyback.simulation import (
     MAX_REPLICATIONS,
     _choice_tables,
     _choices_at,
+    _fold,
     _guide_table,
+    _leaves,
     _lookup,
     _row_sums,
     _std,
-    _StreamedSum,
     _type_blocks,
 )
 from helpers import (
@@ -387,13 +388,23 @@ def test_sampler_matches_searchsorted_reference(replications):
         inst = MarketInstance(grid, clients, 1.0, 0.0, 0.0)
         config = SimulationConfig(replications=replications, seed=int(rng.integers(2**63)))
         blocks = list(_type_blocks(inst, config))
-        # Client-major: one contiguous row of at most _BLOCK draws per client.
-        assert all(b.shape[0] == len(clients) and b.shape[1] <= _BLOCK for b in blocks)
+        # Client-major: one contiguous row per client, as wide as a leaf of
+        # numpy's tree over the replications.
+        assert all(b.shape[0] == len(clients) for b in blocks)
+        assert [b.shape[1] for b in blocks] == list(_leaves(replications, _BLOCK))
         assert all(b.flags.c_contiguous for b in blocks)
         types = np.concatenate(blocks, axis=1)
         assert types.dtype == np.intp
         assert np.array_equal(types.T, sample_type_indices_reference(inst, config))
     assert short_clients > 0  # rounding leaves some cumulative tables short of 1
+
+
+def test_blocks_stay_above_half_a_block():
+    # Every replication count gets blocks of more than _BLOCK/2 - 8 rows once
+    # it passes _BLOCK, so simulate never runs on the slower small blocks.
+    leaves = list(_leaves(MAX_REPLICATIONS, _BLOCK))
+    assert sum(leaves) == MAX_REPLICATIONS
+    assert all(_BLOCK / 2 - 8 < size <= _BLOCK for size in leaves)
 
 
 def _words(k: np.ndarray, rng) -> np.ndarray:
@@ -526,18 +537,20 @@ def test_row_sums_match_numpy_sum_bitwise(n):
     "n", [1, 2, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 24_583, 100_000, 123_457, 10**6])
 def test_streamed_sum_matches_numpy_reduction_bitwise(n):
     # simulate sums over replications with numpy's own pairwise tree, one
-    # subtree at a time as the blocks arrive; a numpy that reduces a long
-    # array another way fails here first.  Magnitudes 1e-20..1e20 make every
-    # reordering visible, and signed zeros test the 0.0 start.
+    # leaf (one block) at a time; a numpy that reduces a long array another
+    # way fails here first.  Magnitudes 1e-20..1e20 make every reordering
+    # visible, and signed zeros test the 0.0 start.
     rng = np.random.default_rng(461 + n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, size=n)
     values[:8] = [-0.0, 0.0, -0.0, 1e20, -1e20, 1.0, -1.0, 5e-324][:n]
-    cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(1, 40))))
-    for data in (values, np.full(n, -0.0)):
-        streamed = _StreamedSum(n)
-        for piece in np.split(data, cuts):  # uneven pieces, empty ones too
-            streamed.add(piece)
-        total = streamed.total()
+    paired = np.empty(n, dtype=complex)  # simulate reduces the .real of x + 1j p
+    paired.real, paired.imag = values, rng.standard_normal(n)
+    ends = np.cumsum(list(_leaves(n, _BLOCK)))
+    assert ends[-1] == n
+    for data in (values, np.full(n, -0.0), paired.real):
+        leaf_sums = iter([np.add.reduce(leaf) for leaf in np.split(data, ends[:-1])])
+        total = 0.0 + _fold(leaf_sums, n, _BLOCK)
+        assert next(leaf_sums, None) is None  # every leaf folded in
         assert np.float64(total).tobytes() == np.add.reduce(data).tobytes()
         assert np.float64(total / n).tobytes() == data.mean().tobytes()
         if n > 1:
@@ -575,14 +588,19 @@ def _memory_budget_case():
     return inst, random_feasible_contract(rng, grid)
 
 
-def _traced_simulate(inst, contract, replications):
+def _traced(fn, *args):
+    """fn(*args) and the peak of its traced allocations."""
     tracemalloc.start()
     try:
-        summary = simulate(inst, contract, SimulationConfig(replications=replications, seed=3))
+        result = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return summary, peak
+    return result, peak
+
+
+def _traced_simulate(inst, contract, replications):
+    return _traced(simulate, inst, contract, SimulationConfig(replications=replications, seed=3))
 
 
 def test_simulate_memory_does_not_scale_with_replications():
@@ -601,3 +619,22 @@ def test_simulate_keeps_eight_bytes_per_replication():
     growth = (_traced_simulate(inst, contract, 2_000_000)[1]
               - _traced_simulate(inst, contract, 1_000_000)[1])
     assert growth < 10 * 2**20, f"growth {growth / 2**20:.1f} MB"
+
+
+def test_simulate_holds_one_block_of_draws():
+    # Past its 8 bytes of utility per replication, a million replications
+    # peak no higher than a single block does: each block of types is
+    # released before the next is drawn.
+    inst, contract = _memory_budget_case()
+    one_block = _traced_simulate(inst, contract, _BLOCK)[1] - 8 * _BLOCK
+    million = _traced_simulate(inst, contract, 1_000_000)[1] - 8 * 1_000_000
+    assert million <= one_block + 64 * 2**10, f"{million / 2**20:.2f} MB, {one_block / 2**20:.2f} MB"
+
+
+def test_misreport_gain_holds_one_block_of_draws():
+    # Each block of types is released before the next is drawn, so a million
+    # replications peak no higher than a single block does.
+    inst, contract = _memory_budget_case()
+    one_block = _traced(estimate_misreport_gain, inst, contract, _BLOCK, 3)[1]
+    million = _traced(estimate_misreport_gain, inst, contract, 1_000_000, 3)[1]
+    assert million <= one_block + 64 * 2**10, f"{million / 2**20:.2f} MB, {one_block / 2**20:.2f} MB"
