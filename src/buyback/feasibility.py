@@ -138,13 +138,11 @@ def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
 def _greedy_margins(grid: TypeGrid, contract: Contract, tol: float) -> tuple[float, float]:
     x = contract.allocation
     c = grid.capacities
-    if grid.num_capacities == 1:
-        return 0.0, 0.0
     # Least and most each row repurchases at any strictly higher capacity.
     above_min = np.minimum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
     above_max = np.maximum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
     # Rounding is monotone, so the largest x[lo] - x[hi] is x[lo] - min x[hi].
-    monotone = max(0.0, float(np.max(x[:, :-1] - above_min)))
+    monotone = max(0.0, float(np.max(x[:, :-1] - above_min, initial=-math.inf)))
     strictly_more = above_max > x[:, :-1] + tol
     gap = np.abs(x[:, :-1] - c[:-1])
     maximal = float(np.max(gap, where=strictly_more, initial=0.0))
@@ -156,9 +154,7 @@ def _valuation_monotone_margin(grid: TypeGrid, contract: Contract) -> float:
     x = contract.allocation
     worst = float(np.max(x[0, :] - grid.capacities))
     worst = max(worst, float(np.max(-x)))
-    if grid.num_valuations > 1:
-        worst = max(worst, float(np.max(np.diff(x, axis=0))))
-    return worst
+    return max(worst, float(np.max(np.diff(x, axis=0), initial=-math.inf)))
 
 
 def _first_min(blocks) -> float:

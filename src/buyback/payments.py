@@ -10,15 +10,16 @@ taking the same float operations as in a column on its own.
 
 Payments are computed by backward recursion rather than the equivalent
 closed-form sum to avoid O(K^2) accumulation error; the closed form is kept
-as a test oracle.  Every rule raises ValidationError unless tol is finite
-and >= 0.
+as a test oracle.  Every rule allows one slack, CLAMP_TOL: violations within
+it are clamped away before the recursion, larger ones raise
+PreconditionError, and priced_contract returns the clamped allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Contract, TypeGrid, ValidationError, check_tol
+from .model import Contract, TypeGrid, ValidationError
 
 #: Allocation slack treated as roundoff and clamped before the recursion.
 CLAMP_TOL = 1e-9
@@ -29,34 +30,28 @@ class PreconditionError(ValidationError):
 
 
 def column_payments(
-    valuations: np.ndarray,
-    allocation_column: np.ndarray,
-    capacity: float,
-    tol: float = CLAMP_TOL,
+    valuations: np.ndarray, allocation_column: np.ndarray, capacity: float
 ) -> np.ndarray:
     """Optimal payments for one capacity column.
 
-    Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to ``tol``;
-    violations within tol are clamped to the boundary, larger ones raise
+    Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to CLAMP_TOL;
+    violations within it are clamped to the boundary, larger ones raise
     PreconditionError naming the offending index.
     """
-    check_tol(tol)
     v = np.asarray(valuations, dtype=float)
     x = np.array(allocation_column, dtype=float)
     if x.ndim != 1 or x.shape != v.shape:
-        raise PreconditionError(
-            f"allocation column has shape {x.shape}, expected {v.shape}"
-        )
-    if np.any(x > capacity + tol):
+        raise PreconditionError(f"allocation column has shape {x.shape}, expected {v.shape}")
+    if np.any(x > capacity + CLAMP_TOL):
         k = int(np.argmax(x - capacity))
         raise PreconditionError(
             f"allocation exceeds capacity at k={k}: x={x[k]!r} > c={capacity!r}"
         )
-    if np.any(x < -tol):
+    if np.any(x < -CLAMP_TOL):
         k = int(np.argmin(x))
         raise PreconditionError(f"allocation negative at k={k}: x={x[k]!r}")
     rises = np.diff(x)
-    if np.any(rises > tol):
+    if np.any(rises > CLAMP_TOL):
         k = int(np.argmax(rises))
         raise PreconditionError(
             f"allocation not non-increasing in valuation: x[{k + 1}]={x[k + 1]!r} "
@@ -66,46 +61,49 @@ def column_payments(
     return _clamped_payments(v, x[:, None], capacity)[:, 0]
 
 
-def _clamped_payments(v: np.ndarray, x: np.ndarray, capacity) -> np.ndarray:
-    """Payments for the (K, L) allocation columns ``x``, which passed the checks.
+def _clamp(x: np.ndarray, capacity) -> np.ndarray:
+    """The (K, L) allocation columns ``x``, which passed the checks, as priced.
 
-    Sub-tol violations are roundoff from relaxed solvers: entries strictly
-    outside [0, capacity] are clamped, which leaves -0.0 as np.clip does on
-    one column with scalar bounds, and each column is made non-increasing.
-    The backward recursion p[k] = p[k+1] - v[k] (x[k+1] - x[k]) then runs
-    down all columns at once as one sequential subtraction.
+    Sub-CLAMP_TOL violations are roundoff from relaxed solvers: entries
+    strictly outside [0, capacity] are clamped, which leaves -0.0 as np.clip
+    does on one column with scalar bounds, and each column is made
+    non-increasing.
     """
     x = np.where(x < 0.0, 0.0, x)
     x = np.where(x > capacity, capacity, x)
     np.minimum.accumulate(x, axis=0, out=x)
+    return x
+
+
+def _clamped_payments(v: np.ndarray, x: np.ndarray, capacity) -> np.ndarray:
+    """Payments for ``_clamp(x, capacity)``: the backward recursion
+    p[k] = p[k+1] - v[k] (x[k+1] - x[k]) runs down all columns at once as one
+    sequential subtraction."""
+    x = _clamp(x, capacity)
     p = np.empty_like(x)
     steps = v[:-1, None] * np.diff(x, axis=0)
     np.subtract.accumulate(np.concatenate([v[-1] * x[-1:], steps[::-1]]), axis=0, out=p[::-1])
     return p
 
 
-def optimal_payment_single(
-    grid: TypeGrid, allocation: np.ndarray, tol: float = CLAMP_TOL
-) -> np.ndarray:
+def optimal_payment_single(grid: TypeGrid, allocation: np.ndarray) -> np.ndarray:
     """Optimal payment column for a single-capacity grid (L = 1)."""
     if grid.num_capacities != 1:
         raise ValidationError(
             f"optimal_payment_single needs a single-capacity grid, got L={grid.num_capacities}"
         )
-    return column_payments(grid.valuations, allocation, float(grid.capacities[0]), tol)
+    return column_payments(grid.valuations, allocation, float(grid.capacities[0]))
 
 
-def optimal_payment_multi(
-    grid: TypeGrid, allocation: np.ndarray, tol: float = CLAMP_TOL
-) -> np.ndarray:
+def optimal_payment_multi(grid: TypeGrid, allocation: np.ndarray) -> np.ndarray:
     """Optimal payment matrix, applied column by column.
 
     The allocation must already satisfy resource feasibility (P1), be
     non-increasing in valuation per column (P2) and greedy across capacities
-    (P6); violations beyond ``tol`` raise PreconditionError naming the
+    (P6); violations beyond CLAMP_TOL raise PreconditionError naming the
     property and indices.
     """
-    check_tol(tol)
+    tol = CLAMP_TOL
     x = np.asarray(allocation, dtype=float)
     K, L = grid.num_valuations, grid.num_capacities
     if x.shape != (K, L):
@@ -121,53 +119,43 @@ def optimal_payment_multi(
     if np.any(x < -tol):
         k, l = np.argwhere(x < -tol)[0]
         raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0")
-    if K > 1:
-        rises = np.diff(x, axis=0)
-        if np.any(rises > tol):
-            k, l = np.argwhere(rises > tol)[0]
-            raise PreconditionError(
-                f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
-            )
-    if L > 1:
-        # a row's largest drop from column lo is to its smallest later entry
-        # and its largest rise to its largest one, so the suffix extremes
-        # find the first lo with a failing pair; fmin and fmax skip NaN,
-        # which fails no comparison in the pair checks either
-        later = x[:, :0:-1]
-        low = np.fmin.accumulate(later, axis=1)[:, ::-1]
-        high = np.fmax.accumulate(later, axis=1)[:, ::-1]
-        head = x[:, :-1]
-        failing = (head - low > tol) | ((high > head + tol) & (np.abs(head - c[:-1]) > tol))
-        if np.any(failing):
-            _raise_p6(x, c, int(np.argmax(np.any(failing, axis=0))), tol)
-    over = x > c + tol  # column_payments' capacity test, which rounds unlike P1's
-    if np.any(over):
-        l = int(np.argmax(np.any(over, axis=0)))
-        column_payments(grid.valuations, x[:, l], float(c[l]), tol)
+    rises = np.diff(x, axis=0)
+    if np.any(rises > tol):
+        k, l = np.argwhere(rises > tol)[0]
+        raise PreconditionError(
+            f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
+        )
+    # a row's largest drop from column lo is to its smallest later entry and
+    # its largest rise to its largest one, so the suffix extremes find the
+    # first lo with a failing pair; fmin and fmax skip NaN, which fails no
+    # comparison in the pair checks either
+    later = x[:, :0:-1]
+    low = np.fmin.accumulate(later, axis=1)[:, ::-1]
+    high = np.fmax.accumulate(later, axis=1)[:, ::-1]
+    head = x[:, :-1]
+    failing = (head - low > tol) | ((high > head + tol) & (np.abs(head - c[:-1]) > tol))
+    if np.any(failing):  # raise the first failing pair (lo, hi), drops first
+        lo = int(np.argmax(np.any(failing, axis=0)))
+        for hi in range(lo + 1, L):
+            drops = x[:, lo] - x[:, hi]
+            if np.any(drops > tol):
+                k = int(np.argmax(drops))
+                raise PreconditionError(
+                    f"P6 violated (capacity monotonicity) in row k={k}: "
+                    f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
+                )
+            unrecycled = (x[:, hi] > x[:, lo] + tol) & (np.abs(x[:, lo] - c[lo]) > tol)
+            if np.any(unrecycled):
+                k = int(np.argmax(unrecycled))
+                raise PreconditionError(
+                    f"P6 violated (maximal recycling) in row k={k}: "
+                    f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
+                    f"but x[l={lo}] != c={c[lo]!r}"
+                )
     return _clamped_payments(grid.valuations, x, c)
 
 
-def _raise_p6(x: np.ndarray, c: np.ndarray, lo: int, tol: float) -> None:
-    """Raise the P6 error of the first pair (lo, hi) that fails, drops first."""
-    for hi in range(lo + 1, x.shape[1]):
-        drops = x[:, lo] - x[:, hi]
-        if np.any(drops > tol):
-            k = int(np.argmax(drops))
-            raise PreconditionError(
-                f"P6 violated (capacity monotonicity) in row k={k}: "
-                f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
-            )
-        strictly_more = x[:, hi] > x[:, lo] + tol
-        unrecycled = strictly_more & (np.abs(x[:, lo] - c[lo]) > tol)
-        if np.any(unrecycled):
-            k = int(np.argmax(unrecycled))
-            raise PreconditionError(
-                f"P6 violated (maximal recycling) in row k={k}: "
-                f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
-                f"but x[l={lo}] != c={c[lo]!r}"
-            )
-
-
-def priced_contract(grid: TypeGrid, allocation: np.ndarray, tol: float = CLAMP_TOL) -> Contract:
-    """Bundle an allocation with its optimal payments into a Contract."""
-    return Contract(np.asarray(allocation, dtype=float), optimal_payment_multi(grid, allocation, tol))
+def priced_contract(grid: TypeGrid, allocation: np.ndarray) -> Contract:
+    """Bundle an allocation, clamped as it was priced, with its optimal payments."""
+    p = optimal_payment_multi(grid, allocation)
+    return Contract(_clamp(np.asarray(allocation, dtype=float), grid.capacities), p)

@@ -361,7 +361,7 @@ def simulate(
     The README's budgets (e.g. n = 2 on a 150 x 150 grid at 10,000
     replications: under 1 s and 16 MB) hold in ``truthful_first`` mode.
     ``max_payment`` mode compares all K*L items for every type, O((K L)^2)
-    work: 5.3 s and 54.9 MB traced for that 150 x 150 menu on a 2-core VM.
+    work: 3.7-6.0 s and 54.9 MB traced for that 150 x 150 menu on a shared 2-core VM.
     """
     check_shapes(instance.grid, contract)
     K, L = instance.grid.num_valuations, instance.grid.num_capacities

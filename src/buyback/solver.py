@@ -67,13 +67,13 @@ from .payments import _clamped_payments
 #: plus crossing pairs.
 MAX_CANDIDATES = 10_000_000
 
-#: Size of each chunk of the exact solver's array work: (bound, candidate)
-#: cells of a front sweep, blocks (a, b, m) of the crossing screen, and
-#: pairs, or winners' levels, of the pairing.
+#: Size of each chunk of the exact solver's array work: products of a block of
+#: table rows, (bound, candidate) cells of a front sweep, blocks (a, b, m) of
+#: the crossing screen, and pairs, or winners' levels, of the pairing.
 _SCREEN_BLOCK = 1 << 16
 
-#: Menus per block when the oracle builds its row tables, and top indices per
-#: block of its lattice walk: with K = 1 the lattice is the axis itself.
+#: Menus per block when the oracle builds its row tables, and (top index,
+#: tail) cells per block of its lattice walk.
 _ORACLE_BLOCK = 1 << 18
 
 
@@ -417,8 +417,11 @@ def _exact_allocation(instance: MarketInstance, coef: np.ndarray, w: np.ndarray)
     # gain[k, j] and mass[k, j]: linear objective and expected supply of row
     # k at level j, summed over capacities in one fixed order so that levels
     # differing only in zero-weight capacities tie exactly
-    gain = np.sum(coef[:, :, None] * X, axis=1)
-    mass = np.sum(w.T[:, :, None] * X, axis=1)
+    gain, mass = np.empty((coef.shape[0], G.size)), np.empty((coef.shape[0], G.size))
+    step = max(1, _SCREEN_BLOCK // X.size)  # rows per block of at most _SCREEN_BLOCK products
+    for a in range(0, coef.shape[0], step):
+        gain[a : a + step] = np.sum(coef[a : a + step, :, None] * X, axis=1)
+        mass[a : a + step] = np.sum(w.T[a : a + step, :, None] * X, axis=1)
     if M > 0.0 and D > 0.0:
         grid_levels, crossings, points, pairs = _penalty_candidates(
             gain, mass, coef, w, caps, G, X, D
@@ -561,8 +564,9 @@ def _lattice_walk(util, supply, M, D) -> list[int]:
     """Axis indices of the best non-increasing tuple: objective, supply, lex-larger.
 
     Rows K-1..1 combine into every non-increasing index tail in lexicographic
-    order, so the tails under top index i are the first counts[i].  When the
-    counts are all equal (K = 1) top indices go _ORACLE_BLOCK at a time.
+    order, so the tails under top index i are the first counts[i].  Blocks of
+    top indices hold at most _ORACLE_BLOCK (index, tail) cells, the tails a
+    row does not own masked out.
     """
     K, B = util.shape
     tail_u, tail_s, tail_idx = np.zeros(1), np.zeros(1), np.zeros((1, 0), dtype=np.intp)
@@ -575,11 +579,12 @@ def _lattice_walk(util, supply, M, D) -> list[int]:
         counts = np.cumsum(counts)
 
     best = (-math.inf,)
-    block = _ORACLE_BLOCK if counts[0] == counts[-1] else 1  # else every count differs
-    for a in range(0, B, block):
-        b, n = min(a + block, B), int(counts[a])
-        s = supply[0, a:b, None] + tail_s[:n]
-        obj = util[0, a:b, None] + tail_u[:n] + M * np.minimum(0.0, s - D)
+    step = max(1, _ORACLE_BLOCK // int(counts[-1]))
+    for a in range(0, B, step):
+        n = int(counts[min(a + step, B) - 1])  # the block's last row owns the most tails
+        s = supply[0, a : a + step, None] + tail_s[:n]
+        obj = util[0, a : a + step, None] + tail_u[:n] + M * np.minimum(0.0, s - D)
+        obj[np.arange(n) >= counts[a : a + step, None]] = -math.inf
         p, key = _best_by_key(np.arange(s.size)[:, None], obj.ravel(), s.ravel())
         best = max(best, (*key[:2], a + p // n, p % n))  # objective, supply, top index, tail
     return [best[2], *tail_idx[best[3]].tolist()]

@@ -9,7 +9,6 @@ from buyback import (
     Contract,
     PreconditionError,
     TypeGrid,
-    ValidationError,
     check_ic_full,
     check_ir,
     check_theorem1,
@@ -133,6 +132,24 @@ def test_multi_rejects_p1_and_p2():
         optimal_payment_multi(grid, [[4.0, 4.0], [5.0, 5.0]])
     with pytest.raises(PreconditionError, match=r"allocation has shape \(1, 2\), expected \(2, 2\)"):
         optimal_payment_multi(grid, [[4.0, 4.0]])
+    with pytest.raises(PreconditionError, match="P2 violated"):
+        optimal_payment_multi(TypeGrid([1.0, 2.0], [1.0, 2.0]), [[0.5, 2.0], [1.0, 0.0]])
+
+
+def test_priced_contract_returns_the_allocation_it_priced():
+    # entries within CLAMP_TOL of [0, c] and of a non-increasing column are
+    # priced clamped; the contract holds that allocation and audits clean
+    grid = TypeGrid([1.0, 2.0], [1.0])
+    for x, clamped in (
+        ([[1.0], [-1e-10]], [[1.0], [0.0]]),
+        ([[1.0 + 5e-10], [0.5]], [[1.0], [0.5]]),
+        ([[0.5], [0.5 + 5e-10]], [[0.5], [0.5]]),
+    ):
+        contract = priced_contract(grid, x)
+        assert contract.allocation.tolist() == clamped
+        assert np.array_equal(contract.payment, optimal_payment_multi(grid, x))
+        report = check_theorem1(grid, contract, tol=0.0)
+        assert report.feasible and report.ic_full and report.ir
 
 
 def test_multi_restricted_to_one_column_equals_single():
@@ -227,25 +244,13 @@ def test_multi_matches_reference_bitwise():
                 x[rng.integers(K), rng.integers(L)] += rng.choice([-1.0, 1.0])
         elif kind == 4:  # shuffled columns or rows break P6 and P2 in many places
             x = x[:, rng.permutation(L)] if i % 2 else x[rng.permutation(K)]
-        tol = (1e-9, 0.0, 1e-6)[i % 3]
-        ref = priced_or_message(optimal_payment_multi_reference, grid, x, tol)
-        assert_same_outcome(priced_or_message(optimal_payment_multi, grid, x, tol), ref)
+        ref = priced_or_message(optimal_payment_multi_reference, grid, x, CLAMP_TOL)
+        assert_same_outcome(priced_or_message(optimal_payment_multi, grid, x), ref)
         seen["priced" if not isinstance(ref, str) else ref.split(" at ")[0].split(" in ")[0]] += 1
     assert seen["priced"] >= 500
     for key in ("P1 violated", "P2 violated", "P6 violated (capacity monotonicity)",
                 "P6 violated (maximal recycling)"):
         assert seen[key] >= 50, seen
-
-
-def test_multi_capacity_message_where_column_rounding_differs():
-    # x - c <= tol passes P1, but x > c + tol fails the column's own check:
-    # the message is the column's, as when the columns were priced one by one
-    grid = TypeGrid([1.0, 2.0], [7.629554372333164])
-    x = [[48.34711509793399], [1.0]]
-    tol = 40.71756072560082
-    ref = priced_or_message(optimal_payment_multi_reference, grid, x, tol)
-    assert ref.startswith("allocation exceeds capacity at k=0")
-    assert priced_or_message(optimal_payment_multi, grid, x, tol) == ref
 
 
 def test_column_payments_match_reference_bitwise():
@@ -256,43 +261,50 @@ def test_column_payments_match_reference_bitwise():
         x = greedy_allocation(grid, random_monotone_y(rng, grid))[:, 0]
         x = x + rng.choice([-1.0, 0.0, 1.0], x.shape) * rng.choice([1e-10, 1e-9, 1e-3], x.shape)
         x[rng.random(x.shape) < 0.2] = -0.0
-        tol = (1e-9, 0.0, 1e-6)[i % 3]
-        ref = priced_or_message(column_payments_reference, grid.valuations, x, cap, tol)
-        got = priced_or_message(column_payments, grid.valuations, x, cap, tol)
+        ref = priced_or_message(column_payments_reference, grid.valuations, x, cap, CLAMP_TOL)
+        got = priced_or_message(column_payments, grid.valuations, x, cap)
         assert_same_outcome(got, ref)
 
 
-BAD_TOLS = (float("nan"), float("inf"), float("-inf"), -1.0)
-GRID_L2 = TypeGrid([1.0, 2.0], [1.0, 2.0])
-# Each payment rule's payments for a priced greedy allocation, at a given tol.
+# Each payment rule on a greedy allocation it prices, with keyword arguments.
 PAYMENT_RULES = {
-    "column_payments": lambda tol: column_payments([1.0, 2.0], [1.0, 0.5], 1.0, tol=tol),
-    "optimal_payment_single": lambda tol: optimal_payment_single(
-        TypeGrid([1.0, 2.0], [1.0]), [1.0, 0.5], tol=tol
+    "column_payments": lambda **kw: column_payments([1.0, 2.0], [1.0, 0.5], 1.0, **kw),
+    "optimal_payment_single": lambda **kw: optimal_payment_single(
+        TypeGrid([1.0, 2.0], [1.0]), [1.0, 0.5], **kw
     ),
-    "optimal_payment_multi": lambda tol: optimal_payment_multi(
-        GRID_L2, [[1.0, 2.0], [0.5, 0.5]], tol=tol
+    "optimal_payment_multi": lambda **kw: optimal_payment_multi(
+        TypeGrid([1.0, 2.0], [1.0, 2.0]), [[1.0, 2.0], [0.5, 0.5]], **kw
     ),
-    "priced_contract": lambda tol: priced_contract(
-        GRID_L2, [[1.0, 2.0], [0.5, 0.5]], tol=tol
-    ).payment,
+    "priced_contract": lambda **kw: priced_contract(
+        TypeGrid([1.0, 2.0], [1.0, 2.0]), [[1.0, 2.0], [0.5, 0.5]], **kw
+    ),
 }
 
 
 @pytest.mark.parametrize("rule", PAYMENT_RULES)
-def test_payment_rules_reject_a_tol_that_is_not_finite_and_non_negative(rule):
-    # A NaN tol passed every precondition and a negative one raised a P1 error
-    for tol in BAD_TOLS:
-        with pytest.raises(ValidationError, match="must be finite and non-negative"):
-            PAYMENT_RULES[rule](tol)
-    assert np.array_equal(PAYMENT_RULES[rule](0.0), PAYMENT_RULES[rule](CLAMP_TOL))
+def test_payment_rules_take_no_tol(rule):
+    # every rule allows the one slack CLAMP_TOL and no other
+    PAYMENT_RULES[rule]()
+    with pytest.raises(TypeError, match="tol"):
+        PAYMENT_RULES[rule](tol=CLAMP_TOL)
 
 
-def test_nan_tol_no_longer_prices_an_invalid_allocation():
-    nan = float("nan")
-    with pytest.raises(ValidationError, match="tol = nan"):
-        column_payments([1.0, 2.0], [0.5, 9.0], 1.0, tol=nan)  # x = 9 > c = 1
-    with pytest.raises(ValidationError, match="tol = nan"):
-        optimal_payment_multi(GRID_L2, [[0.5, 2.0], [1.0, 0.0]], tol=nan)  # P2 fails at l = 0
-    with pytest.raises(PreconditionError, match="P2 violated"):
-        optimal_payment_multi(GRID_L2, [[0.5, 2.0], [1.0, 0.0]])
+def test_column_rule_rejects_no_allocation_that_p1_accepts():
+    # optimal_payment_multi runs only P1's test x - c > CLAMP_TOL; the
+    # column rule's x > c + CLAMP_TOL must reject nothing more, at every
+    # magnitude and for x a few ulps either side of c and of c + CLAMP_TOL
+    rng = np.random.default_rng(79)
+    steps = np.arange(-40, 41)
+    disagree = 0
+    for exponent in range(-300, 301, 5):
+        cap = float(rng.uniform(1.0, 10.0)) * 10.0**exponent
+        grid = TypeGrid([1.0], [cap])
+        for centre in (cap, cap + CLAMP_TOL):
+            for x in (np.array([centre]).view(np.int64) + steps).view(float).tolist():
+                p1 = priced_or_message(optimal_payment_multi, grid, [[x]])
+                column = priced_or_message(column_payments, [1.0], [x], cap)
+                if isinstance(column, str):
+                    assert column.startswith("allocation exceeds capacity")
+                    assert isinstance(p1, str) and p1.startswith("P1 violated")
+                disagree += isinstance(p1, str) and not isinstance(column, str)
+    assert disagree > 0  # the scan reaches the edge where the two tests round apart

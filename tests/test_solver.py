@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import time
 import tracemalloc
 
@@ -369,6 +370,28 @@ def test_oracle_budget_at_the_lattice_edge(vals, caps, step, penalty):
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_lattice_walk_scores_only_non_increasing_tuples(monkeypatch):
+    # integer tables, so sums are exact and ties many: at any block size the
+    # walk picks the best non-increasing index tuple by objective, then
+    # supply, then the lex-larger tuple, as a brute force over them does
+    rng = np.random.default_rng(229)
+    for _ in range(300):
+        K, B = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        util = rng.integers(-5, 6, (K, B)).astype(float)
+        supply = rng.integers(0, 4, (K, B)).astype(float)
+        M, D = float(rng.integers(0, 3)), float(rng.integers(0, 6))
+
+        def key(t):
+            u, s = util[range(K), t].sum(), supply[range(K), t].sum()
+            return u + M * min(0.0, s - D), s, t
+
+        best = max(key(t[::-1]) for t in itertools.combinations_with_replacement(range(B), K))
+        for size in (1, 2, 5, solver._ORACLE_BLOCK):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_ORACLE_BLOCK", size)
+                assert solver._lattice_walk(util, supply, M, D) == list(best[2])
+
+
 def family_instance(n, alpha, penalty, demand):
     """vals = caps = 1..n, one client spread uniformly over the n*n types."""
     vals = np.arange(1.0, n + 1.0)
@@ -401,6 +424,42 @@ def test_exact_free_solves_at_scale():
         res = assert_solves_audit_clean(family_instance(20, 10.0, penalty, demand), 0.5)
         assert res.diagnostics["front_points"] == 20 * 21
         assert res.diagnostics["crossing_pairs"] == 0
+
+
+def test_exact_free_tables_stay_small():
+    # gain and mass go in blocks of rows: the (K, L, L+1) product of a free
+    # 200x200 solve alone took 63 MB
+    inst = family_instance(200, 10.0, 0.0, 6.0)
+    tracemalloc.start()
+    try:
+        solve_multi_reduced(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_dp_tables_do_not_depend_on_the_block_size(monkeypatch):
+    # gain and mass built a row, a few rows or all rows at a time are the one
+    # (K, L, L+1) product bit for bit, zero and -0.0 coefficients included
+    rng = np.random.default_rng(227)
+    tables, best_levels = [], solver._best_levels
+    monkeypatch.setattr(solver, "_best_levels", lambda g, s: tables.append((g, s)) or best_levels(g, s))
+    for _ in range(100):
+        K, L = (int(n) for n in rng.integers(1, 61, 2))
+        caps = np.cumsum(rng.uniform(0.1, 2.0, L))
+        inst = one_client_instance(np.arange(1.0, K + 1.0), caps, np.full((L, K), 1.0 / (K * L)), 2.0)
+        coef = rng.normal(size=(K, L)) * 10.0 ** rng.integers(-8, 9, (K, L))
+        coef[rng.random((K, L)) < 0.2] = rng.choice([0.0, -0.0])
+        w = rng.random((L, K)) * (rng.random((L, K)) < 0.7)
+        X = np.minimum(caps[:, None], np.concatenate([[0.0], caps])[None, :])
+        ref = np.sum(coef[:, :, None] * X, axis=1), np.sum(w.T[:, :, None] * X, axis=1)
+        for size in (1, 64, 1 << 16):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SCREEN_BLOCK", size)
+                solver._exact_allocation(inst, coef, w)
+            gain, mass = tables.pop()
+            assert same_bits(gain, ref[0]) and same_bits(mass, ref[1])
 
 
 def test_exact_crossing_budget_guard():
