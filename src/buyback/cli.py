@@ -33,7 +33,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .feasibility import (
-    AUDIT_TOL, VERDICT_KEYS, AuditReport, check_theorem1, compute_regret, regret_bound
+    AUDIT_TOL, VERDICT_KEYS, AuditReport, _truthful_utilities, check_theorem1, compute_regret,
+    regret_bound,
 )
 from .model import (
     ClientDistribution,
@@ -220,10 +221,10 @@ def audit_dict(report: AuditReport) -> dict:
 
 def _menu_rows(instance: MarketInstance, contract: Contract) -> list[dict]:
     """One row per item, valuation-major; each utility is ``client_utility``
-    of the item's own valuation, the same multiply and subtract per entry."""
+    of the item's own valuation, read off the audit's truthful-utility table."""
     grid = instance.grid
     x, p = contract.allocation, contract.payment
-    utility = p - grid.valuations[:, None] * x
+    utility = _truthful_utilities(grid, contract)
     capacities = grid.capacities.tolist()
     return [
         {

@@ -25,8 +25,8 @@ class ValidationError(ValueError):
     """An input violates a domain invariant (bad shape, bad index, bad value)."""
 
 
-def _as_readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _as_readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -10,9 +10,10 @@ taking the same float operations as in a column on its own.
 
 Payments are computed by backward recursion rather than the equivalent
 closed-form sum to avoid O(K^2) accumulation error; the closed form is kept
-as a test oracle.  Every rule allows one slack, CLAMP_TOL: violations within
-it are clamped away before the recursion, larger ones raise
-PreconditionError, and priced_contract returns the clamped allocation.
+as a test oracle.  Every rule runs one P1/P2 check with one slack, CLAMP_TOL:
+violations within it are clamped away before the recursion, larger ones raise
+PreconditionError naming the first offending entry, and priced_contract
+returns the clamped allocation.
 """
 
 from __future__ import annotations
@@ -35,30 +36,34 @@ def column_payments(
     """Optimal payments for one capacity column.
 
     Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to CLAMP_TOL;
-    violations within it are clamped to the boundary, larger ones raise
-    PreconditionError naming the offending index.
+    violations within it are clamped to the boundary, larger ones raise the
+    P1/P2 PreconditionError of ``optimal_payment_multi``.
     """
     v = np.asarray(valuations, dtype=float)
     x = np.array(allocation_column, dtype=float)
     if x.ndim != 1 or x.shape != v.shape:
         raise PreconditionError(f"allocation column has shape {x.shape}, expected {v.shape}")
-    if np.any(x > capacity + CLAMP_TOL):
-        k = int(np.argmax(x - capacity))
-        raise PreconditionError(
-            f"allocation exceeds capacity at k={k}: x={x[k]!r} > c={capacity!r}"
-        )
-    if np.any(x < -CLAMP_TOL):
-        k = int(np.argmin(x))
-        raise PreconditionError(f"allocation negative at k={k}: x={x[k]!r}")
-    rises = np.diff(x)
-    if np.any(rises > CLAMP_TOL):
-        k = int(np.argmax(rises))
-        raise PreconditionError(
-            f"allocation not non-increasing in valuation: x[{k + 1}]={x[k + 1]!r} "
-            f"> x[{k}]={x[k]!r}"
-        )
-
+    _check_p1_p2(x[:, None], np.array([capacity], dtype=float))
     return _clamped_payments(v, x[:, None], capacity)[:, 0]
+
+
+def _check_p1_p2(x: np.ndarray, c: np.ndarray) -> None:
+    """Raise PreconditionError at the first entry of the (K, L) allocation
+    ``x`` beyond capacities ``c`` (P1), below zero (P1), or above the entry
+    before it in its column (P2), by more than CLAMP_TOL."""
+    over = x - c[None, :]
+    if np.any(over > CLAMP_TOL):
+        k, l = np.argwhere(over > CLAMP_TOL)[0]
+        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} > c={c[l]!r}")
+    if np.any(x < -CLAMP_TOL):
+        k, l = np.argwhere(x < -CLAMP_TOL)[0]
+        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0")
+    rises = np.diff(x, axis=0)
+    if np.any(rises > CLAMP_TOL):
+        k, l = np.argwhere(rises > CLAMP_TOL)[0]
+        raise PreconditionError(
+            f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
+        )
 
 
 def _clamp(x: np.ndarray, capacity) -> np.ndarray:
@@ -109,22 +114,7 @@ def optimal_payment_multi(grid: TypeGrid, allocation: np.ndarray) -> np.ndarray:
     if x.shape != (K, L):
         raise PreconditionError(f"allocation has shape {x.shape}, expected {(K, L)}")
     c = grid.capacities
-
-    over = x - c[None, :]
-    if np.any(over > tol):
-        k, l = np.argwhere(over > tol)[0]
-        raise PreconditionError(
-            f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} > c={c[l]!r}"
-        )
-    if np.any(x < -tol):
-        k, l = np.argwhere(x < -tol)[0]
-        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0")
-    rises = np.diff(x, axis=0)
-    if np.any(rises > tol):
-        k, l = np.argwhere(rises > tol)[0]
-        raise PreconditionError(
-            f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
-        )
+    _check_p1_p2(x, c)
     # a row's largest drop from column lo is to its smallest later entry and
     # its largest rise to its largest one, so the suffix extremes find the
     # first lo with a failing pair; fmin and fmax skip NaN, which fails no

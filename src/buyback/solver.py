@@ -48,6 +48,7 @@ Three solving routes live here:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,9 +115,8 @@ def _reduced_coefficients(instance: MarketInstance) -> tuple[np.ndarray, np.ndar
     v = instance.grid.valuations
     wT = w.T.copy()  # (K, L)
     coef = wT * (instance.alpha - v[:, None])
-    if v.size > 1:
-        below = np.cumsum(wT, axis=0)[:-1, :]  # mass at valuations <= k-1
-        coef[1:, :] -= below * np.diff(v)[:, None]
+    below = np.cumsum(wT, axis=0)[:-1, :]  # mass at valuations <= k-1
+    coef[1:, :] -= below * np.diff(v)[:, None]
     return coef, w
 
 
@@ -359,46 +359,48 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
     begin = end - count
     H = w.T @ X  # supplies as the reference enumeration in tests sums them: equal bits
     rows = np.arange(K)
-    crossings = []
-    start = 0
-    while start < len(blocks):
-        stop = min(
-            max(start + 1, int(np.searchsorted(end, begin[start] + _SCREEN_BLOCK, "right"))),
-            start + max(1, _SCREEN_BLOCK // K),  # winners' tuples: at most that many levels
-        )
-        blk = np.repeat(np.arange(start, stop), count[start:stop])
-        i, q = np.divmod(np.arange(begin[start], end[stop - 1]) - begin[blk], size_Q[blk])
-        i += lo_P[blk]
-        q += lo_Q[blk]
-        theta = (D - (sP[i] + sQ[q]) - const[blk]) / slope[blk]
-        inside = (theta >= lo_G[blk]) & (theta <= hi_G[blk])
-        value = np.where(inside, gP[i] + gQ[q] + scale[blk] * theta, -np.inf)
-        # each block's first argmax, as np.argmax takes it, where theta is inside
-        heads = begin[start:stop] - begin[start]
-        top = np.maximum.reduceat(value, heads)[blk - start]
-        pick = np.minimum.reduceat(np.where(value == top, np.arange(len(blk)), len(blk)), heads)
-        won = np.flatnonzero(np.logical_or.reduceat(inside, heads))
-        pick, n = pick[won], won + start
-        levels = np.zeros((len(n), K), dtype=suffix[0].level.dtype)
-        _read_levels(prefix, i[pick] - off_P[a[n]], a[n], False, levels)
-        _read_levels(suffix, q[pick] - off_Q[b[n]], b[n] + 1, True, levels)
-        # theta again, the supply summed row by row in y order, left to right
-        # as Python's sum takes it, so that a crossing's coordinates do not
-        # depend on how the fronts were built; the zeros padding other rows
-        # change no sum but the sign of a zero one, and D > 0 hides that
-        supply = H[rows, levels]
-        rest = np.where(rows < a[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
-        rest = rest + np.where(rows > b[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
-        t = (D - rest - const[n]) / slope[n]
-        ok = (lo_G[n] <= t) & (t <= hi_G[n])
-        t = np.minimum(np.maximum(t, G[m[n]]), G[m[n] + 1])
-        block = (rows >= a[n, None]) & (rows <= b[n, None])
-        crossings.extend(np.where(block, t[:, None], G[levels])[ok])
-        start = stop
+
+    def crossings():  # one array of crossings per chunk of pairs
+        start = 0
+        while start < len(blocks):
+            stop = min(
+                max(start + 1, int(np.searchsorted(end, begin[start] + _SCREEN_BLOCK, "right"))),
+                start + max(1, _SCREEN_BLOCK // K),  # winners' tuples: at most that many levels
+            )
+            blk = np.repeat(np.arange(start, stop), count[start:stop])
+            i, q = np.divmod(np.arange(begin[start], end[stop - 1]) - begin[blk], size_Q[blk])
+            i += lo_P[blk]
+            q += lo_Q[blk]
+            theta = (D - (sP[i] + sQ[q]) - const[blk]) / slope[blk]
+            inside = (theta >= lo_G[blk]) & (theta <= hi_G[blk])
+            value = np.where(inside, gP[i] + gQ[q] + scale[blk] * theta, -np.inf)
+            # each block's first argmax, as np.argmax takes it, where theta is inside
+            heads = begin[start:stop] - begin[start]
+            top = np.maximum.reduceat(value, heads)[blk - start]
+            pick = np.minimum.reduceat(np.where(value == top, np.arange(len(blk)), len(blk)), heads)
+            won = np.flatnonzero(np.logical_or.reduceat(inside, heads))
+            pick, n = pick[won], won + start
+            levels = np.zeros((len(n), K), dtype=suffix[0].level.dtype)
+            _read_levels(prefix, i[pick] - off_P[a[n]], a[n], False, levels)
+            _read_levels(suffix, q[pick] - off_Q[b[n]], b[n] + 1, True, levels)
+            # theta again, the supply summed row by row in y order, left to right
+            # as Python's sum takes it, so that a crossing's coordinates do not
+            # depend on how the fronts were built; the zeros padding other rows
+            # change no sum but the sign of a zero one, and D > 0 hides that
+            supply = H[rows, levels]
+            rest = np.where(rows < a[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
+            rest = rest + np.where(rows > b[n, None], supply, 0.0).cumsum(axis=1)[:, -1]
+            t = (D - rest - const[n]) / slope[n]
+            ok = (lo_G[n] <= t) & (t <= hi_G[n])
+            t = np.minimum(np.maximum(t, G[m[n]]), G[m[n] + 1])
+            block = (rows >= a[n, None]) & (rows <= b[n, None])
+            yield np.where(block, t[:, None], G[levels])[ok]
+            start = stop
+
     grid = np.arange(suffix[0].ends[L], suffix[0].ends[L + 1])
     levels = np.zeros((len(grid), K), dtype=suffix[0].level.dtype)
     _read_levels(suffix, grid, np.zeros(len(grid), dtype=np.intp), True, levels)
-    return levels, crossings, points, pairs
+    return levels, crossings(), points, pairs
 
 
 def _end_to_end(states):
@@ -423,23 +425,27 @@ def _exact_allocation(instance: MarketInstance, coef: np.ndarray, w: np.ndarray)
         gain[a : a + step] = np.sum(coef[a : a + step, :, None] * X, axis=1)
         mass[a : a + step] = np.sum(w.T[a : a + step, :, None] * X, axis=1)
     if M > 0.0 and D > 0.0:
-        grid_levels, crossings, points, pairs = _penalty_candidates(
-            gain, mass, coef, w, caps, G, X, D
-        )
+        grid_levels, chunks, points, pairs = _penalty_candidates(gain, mass, coef, w, caps, G, X, D)
     else:  # the objective is lin: one best suffix per (row, level) suffices
-        grid_levels, crossings, points, pairs = [_best_levels(gain, mass)], [], gain.size, 0
+        grid_levels, chunks, points, pairs = [_best_levels(gain, mass)], (), gain.size, 0
 
-    # re-score the survivors together: objective, then supply, then lex-larger y
-    Y = np.vstack([G[np.asarray(grid_levels, dtype=np.intp)], *crossings])
-    Xc = np.minimum(caps[None, None, :], Y[:, :, None])
-    lin = np.einsum("ckl,kl->c", Xc, coef)
-    supply = np.einsum("ckl,lk->c", Xc, w)
-    obj = lin + M * np.minimum(0.0, supply - D)
-    best_y = Y[_best_by_key(Y, obj, supply)[0]]
-    return np.minimum(caps[None, :], best_y[:, None]), {
-        "candidates": len(Y),
+    # rank the grid front, then each chunk of crossings, by objective, then
+    # supply, then lex-larger y; the first of equal keys stays, as it does in
+    # one ranking of all of them
+    best, candidates = None, 0
+    for Y in itertools.chain([G[np.asarray(grid_levels, dtype=np.intp)]], chunks):
+        candidates += len(Y)
+        if len(Y):
+            Xc = np.minimum(caps[None, None, :], Y[:, :, None])
+            supply = np.einsum("ckl,lk->c", Xc, w)
+            obj = np.einsum("ckl,kl->c", Xc, coef) + M * np.minimum(0.0, supply - D)
+            i, key = _best_by_key(Y, obj, supply)
+            if best is None or key > best[0]:
+                best = key, Y[i]
+    return np.minimum(caps[None, :], best[1][:, None]), {
+        "candidates": candidates,
         "grid_candidates": len(grid_levels),
-        "crossing_candidates": len(crossings),
+        "crossing_candidates": candidates - len(grid_levels),
         "front_points": points,
         "crossing_pairs": pairs,
     }

@@ -154,6 +154,25 @@ def test_invalid_probability_matrix_names_client(tmp_path):
     assert "clients[1]" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "probs, problem",
+    [
+        ([[0.4, 0.2], [0.5, -0.1]], "= -0.1 is outside [0, 1]"),
+        ([[0.0, 0.0], [0.0, 1.5]], "= 1.5 is outside [0, 1]"),
+        ([[0.3, 0.2], [0.1, 0.3]], "sum to"),
+        ([[0.5, 0.5], [float("nan"), 0.0]], "non-finite"),
+    ],
+    ids=["negative", "above-one", "sum-0.9", "nan"],
+)
+def test_client_probability_errors_name_the_client(tmp_path, capsys, probs, problem):
+    doc = json.loads(json.dumps(INSTANCE_L2))
+    doc["clients"][1]["probs"] = probs
+    inst = write_json(tmp_path / "bad.json", doc)  # json.dumps writes the NaN literal
+    code, out, err = _in_process(capsys, "solve", inst)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: clients[1].probs: ") and problem in err, err
+
+
 def test_missing_file_is_invalid_input(tmp_path):
     proc = run_cli("solve", str(tmp_path / "nope.json"))
     assert proc.returncode == 2

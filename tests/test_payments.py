@@ -19,7 +19,6 @@ from buyback import (
 )
 from buyback.payments import CLAMP_TOL
 from helpers import (
-    column_payments_reference,
     greedy_allocation,
     optimal_payment_multi_reference,
     random_grid,
@@ -72,13 +71,17 @@ def test_single_requires_single_capacity_grid():
 
 
 def test_single_precondition_errors_name_index():
+    # the one P1/P2 check of every payment rule, in its wording
     grid = TypeGrid([1.0, 2.0], [10.0])
-    with pytest.raises(PreconditionError, match=r"x\[1\]"):
-        optimal_payment_single(grid, [4.0, 10.0])
-    with pytest.raises(PreconditionError, match="k=0"):
-        optimal_payment_single(grid, [11.0, 4.0])
-    with pytest.raises(PreconditionError, match="k=1"):
-        optimal_payment_single(grid, [4.0, -1.0])
+    f = np.float64
+    for x, message in (
+        ([4.0, 10.0], f"P2 violated in column l=0: x[1]={f(10.0)!r} > x[0]={f(4.0)!r}"),
+        ([11.0, 4.0], f"P1 violated at item (k=0, l=0): x={f(11.0)!r} > c={f(10.0)!r}"),
+        ([4.0, -1.0], f"P1 violated at item (k=1, l=0): x={f(-1.0)!r} < 0"),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            optimal_payment_single(grid, x)
+        assert str(exc.value) == message
     with pytest.raises(PreconditionError, match=r"column has shape \(3,\), expected \(2,\)"):
         optimal_payment_single(grid, [4.0, 4.0, 4.0])
 
@@ -261,9 +264,9 @@ def test_column_payments_match_reference_bitwise():
         x = greedy_allocation(grid, random_monotone_y(rng, grid))[:, 0]
         x = x + rng.choice([-1.0, 0.0, 1.0], x.shape) * rng.choice([1e-10, 1e-9, 1e-3], x.shape)
         x[rng.random(x.shape) < 0.2] = -0.0
-        ref = priced_or_message(column_payments_reference, grid.valuations, x, cap, CLAMP_TOL)
+        ref = priced_or_message(optimal_payment_multi_reference, grid, x[:, None], CLAMP_TOL)
         got = priced_or_message(column_payments, grid.valuations, x, cap)
-        assert_same_outcome(got, ref)
+        assert_same_outcome(got, ref if isinstance(ref, str) else ref[:, 0])
 
 
 # Each payment rule on a greedy allocation it prices, with keyword arguments.
@@ -290,12 +293,12 @@ def test_payment_rules_take_no_tol(rule):
 
 
 def test_column_rule_rejects_no_allocation_that_p1_accepts():
-    # optimal_payment_multi runs only P1's test x - c > CLAMP_TOL; the
-    # column rule's x > c + CLAMP_TOL must reject nothing more, at every
-    # magnitude and for x a few ulps either side of c and of c + CLAMP_TOL
+    # the column rule runs P1's test x - c > CLAMP_TOL, as optimal_payment_multi
+    # does: the same price or message at every magnitude and for x a few ulps
+    # either side of c and of c + CLAMP_TOL
     rng = np.random.default_rng(79)
     steps = np.arange(-40, 41)
-    disagree = 0
+    edge = 0
     for exponent in range(-300, 301, 5):
         cap = float(rng.uniform(1.0, 10.0)) * 10.0**exponent
         grid = TypeGrid([1.0], [cap])
@@ -303,8 +306,8 @@ def test_column_rule_rejects_no_allocation_that_p1_accepts():
             for x in (np.array([centre]).view(np.int64) + steps).view(float).tolist():
                 p1 = priced_or_message(optimal_payment_multi, grid, [[x]])
                 column = priced_or_message(column_payments, [1.0], [x], cap)
-                if isinstance(column, str):
-                    assert column.startswith("allocation exceeds capacity")
-                    assert isinstance(p1, str) and p1.startswith("P1 violated")
-                disagree += isinstance(p1, str) and not isinstance(column, str)
-    assert disagree > 0  # the scan reaches the edge where the two tests round apart
+                assert_same_outcome(column, p1 if isinstance(p1, str) else p1[:, 0])
+                # refused although x <= fl(c + CLAMP_TOL): P1's edge, where a
+                # test of x > c + CLAMP_TOL would round apart from P1's
+                edge += isinstance(p1, str) and x <= cap + CLAMP_TOL
+    assert edge > 0

@@ -439,6 +439,24 @@ def test_exact_free_tables_stay_small():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_exact_penalised_crossings_stay_small():
+    # L = 1 and all mass on the middle valuation: about (K/2)^2 blocks each
+    # keep a crossing of K entries; ranked a chunk at a time they took 48 MB
+    # at K = 200 when all of them were stacked at once
+    K = 200
+    probs = np.zeros((1, K))
+    probs[0, K // 2] = 1.0
+    inst = one_client_instance(np.arange(1.0, K + 1.0), [1.0], probs, K + 1.0, 2.0, 0.5)
+    tracemalloc.start()
+    try:
+        res = solve_multi_reduced(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["crossing_candidates"] > 5_000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_dp_tables_do_not_depend_on_the_block_size(monkeypatch):
     # gain and mass built a row, a few rows or all rows at a time are the one
     # (K, L, L+1) product bit for bit, zero and -0.0 coefficients included
@@ -477,8 +495,8 @@ def test_exact_crossing_budget_is_checked_before_the_screen(monkeypatch):
     # two points, yet each of the (K/2)^2 blocks holding that row has a
     # crossing theta in [0, c], so a screen run before the count would keep
     # all of them; the budget is scaled down so that this K is refused: the
-    # default one passes its 250,500 pairs, and up to as many crossings of
-    # 1,000 entries would be built
+    # default one passes its 250,500 pairs and ranks up to as many crossings,
+    # a chunk at a time
     K = 1000
     probs = np.zeros((1, K))
     probs[0, K // 2] = 1.0
@@ -571,6 +589,12 @@ def front_lists(states, suffix: bool):
     return out
 
 
+def penalty_candidates(*args):
+    """``_penalty_candidates`` with its chunks of crossings read into one list."""
+    levels, chunks, points, pairs = _penalty_candidates(*args)
+    return levels, [y for chunk in chunks for y in chunk], points, pairs
+
+
 def test_exact_dp_matches_reference_bitwise():
     # fronts (g, s, levels rebuilt from the parent pointers, dtype, order,
     # point count), grid levels, crossings and crossing pairs against one
@@ -599,7 +623,7 @@ def test_exact_dp_matches_reference_bitwise():
                         assert ref_front is None or (not suffix and n == 0)
                     else:
                         assert all(map(same_bits, got_front, ref_front))
-        got = _penalty_candidates(gain, mass, coef, w, caps, G, X, inst.demand_floor)
+        got = penalty_candidates(gain, mass, coef, w, caps, G, X, inst.demand_floor)
         ref = penalty_candidates_reference(gain, mass, coef, w, caps, G, X, inst.demand_floor)
         assert same_bits(got[0], ref[0])
         assert got[2:] == ref[2:]  # front points and crossing pairs
@@ -670,17 +694,34 @@ def test_penalty_candidates_do_not_depend_on_the_chunk_size(monkeypatch):
     for i in range(300):
         inst = exact_dp_draw(rng, i)
         args = (*dp_inputs(inst), inst.demand_floor)
-        default = _penalty_candidates(*args)
+        default = penalty_candidates(*args)
         ref = penalty_candidates_reference(*args)
         for size in (1, 5, 40):
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "_SCREEN_BLOCK", size)
-                got = _penalty_candidates(*args)
+                got = penalty_candidates(*args)  # the chunks are read under the patch
             for other in (default, ref):
                 assert same_bits(got[0], other[0])
                 assert got[2:] == other[2:]
                 assert len(got[1]) == len(other[1])
                 assert all(map(same_bits, got[1], other[1]))
+
+
+def test_exact_ranking_does_not_depend_on_the_chunk_size(monkeypatch):
+    # the grid front and each chunk of crossings are ranked apart, each by
+    # the two einsums and _best_by_key: one crossing, a few or all of them
+    # per chunk give the same menu and counts bit for bit
+    rng = np.random.default_rng(233)
+    for i in range(200):
+        inst = exact_dp_draw(rng, i)
+        default = solve_multi_reduced(inst)
+        for size in (1, 5):
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_SCREEN_BLOCK", size)
+                got = solve_multi_reduced(inst)
+            assert same_bits(got.contract.allocation, default.contract.allocation)
+            assert same_bits(got.contract.payment, default.contract.payment)
+            assert got.diagnostics == default.diagnostics
 
 
 def test_reduced_form_equivalence_sample():
