@@ -16,15 +16,16 @@ Margin conventions (every verdict is read off its margin by one rule):
 
 Every ``check_*`` raises ValidationError unless tol is finite and >= 0.
 
-Joint IC and regret take each type's best affordable deviation from a prefix
-maximum over the items sorted by repurchase amount; the decomposed IC checks
-enumerate item pairs on their own, so they cross-check the joint one.  The
-enumerations are vectorised (suffix minima and maxima over higher capacities,
-masked minima, blocks of item pairs) but never use the prefix maximum.
-Rounding is monotone, so ``max_b fl(a - b) = fl(a - min b)`` and every margin
-equals the one the pairwise loops give, bit for bit.  The (rows, K*L) tables
-are built a block of valuation rows at a time, so an audit needs O(K*L)
-memory.
+P1, P2 and P6 are defined once, as the per-entry excess tables of
+``structure_excess``: the audit's margins are their maxima, and the payment
+rules raise at their first entries past CLAMP_TOL.  Joint IC and regret take
+each type's best affordable deviation from a prefix maximum over the items
+sorted by repurchase amount; the decomposed IC checks enumerate item pairs
+on their own (masked minima, blocks of item pairs), so they cross-check the
+joint one.  Rounding is monotone, so ``max_b fl(a - b) = fl(a - min b)`` and
+every margin equals the one the pairwise loops give, bit for bit.  The
+(rows, K*L) tables are built a block of valuation rows at a time, so an
+audit needs O(K*L) memory.
 """
 
 from __future__ import annotations
@@ -131,30 +132,28 @@ def _check_args(grid: TypeGrid, contract: Contract, tol: float) -> None:
     check_tol(tol)
 
 
-def _feasibility_margin(grid: TypeGrid, contract: Contract) -> float:
-    return float(np.max(contract.allocation - grid.capacities[None, :]))
+def structure_excess(x: np.ndarray, c: np.ndarray, tol: float) -> tuple:
+    """Per-entry excess of the (K, L) allocation ``x`` over P1, P2 and P6 at
+    capacities ``c``, an entry failing iff its excess is > tol: P1's x - c
+    and -x, P2's rise down each column, and per row and column lo < L-1,
+    P6's drop to the least later entry and |x - c| where a later entry
+    passes x + tol (else 0).  fmin and fmax skip NaN, so a NaN hides no
+    other entry's excess."""
+    head, later = x[:, :-1], x[:, :0:-1]
+    low = np.fmin.accumulate(later, axis=1)[:, ::-1]
+    high = np.fmax.accumulate(later, axis=1)[:, ::-1]
+    with np.errstate(invalid="ignore"):  # inf - inf, which P1 refuses anyway
+        unrecycled = np.where(high > head + tol, np.abs(head - c[:-1]), 0.0)
+        return x - c, -x, np.diff(x, axis=0), head - low, unrecycled
 
 
-def _greedy_margins(grid: TypeGrid, contract: Contract, tol: float) -> tuple[float, float]:
-    x = contract.allocation
-    c = grid.capacities
-    # Least and most each row repurchases at any strictly higher capacity.
-    above_min = np.minimum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
-    above_max = np.maximum.accumulate(x[:, :0:-1], axis=1)[:, ::-1]
-    # Rounding is monotone, so the largest x[lo] - x[hi] is x[lo] - min x[hi].
-    monotone = max(0.0, float(np.max(x[:, :-1] - above_min, initial=-math.inf)))
-    strictly_more = above_max > x[:, :-1] + tol
-    gap = np.abs(x[:, :-1] - c[:-1])
-    maximal = float(np.max(gap, where=strictly_more, initial=0.0))
-    return monotone, maximal
-
-
-def _valuation_monotone_margin(grid: TypeGrid, contract: Contract) -> float:
-    # P2: c[l] >= x[0, l] >= ... >= x[K-1, l] >= 0, columnwise.
-    x = contract.allocation
-    worst = float(np.max(x[0, :] - grid.capacities))
-    worst = max(worst, float(np.max(-x)))
-    return max(worst, float(np.max(np.diff(x, axis=0), initial=-math.inf)))
+def _structure_margins(x: np.ndarray, c: np.ndarray, tol: float) -> tuple:
+    """p1, p2, greedy_monotone and greedy_maximal: maxima of the
+    ``structure_excess`` tables, P2 capping each column at its top."""
+    over, negative, rise, drop, unrecycled = structure_excess(x, c, tol)
+    p2 = max(float(np.max(over[0])), float(np.max(negative)), float(np.max(rise, initial=-math.inf)))
+    monotone = max(0.0, float(np.max(drop, initial=-math.inf)))
+    return float(np.max(over)), p2, monotone, float(np.max(unrecycled, initial=0.0))
 
 
 def _first_min(blocks) -> float:
@@ -219,7 +218,7 @@ def check_resource_feasibility(
 ) -> tuple[bool, float]:
     """No item may ask for more than its type's capacity: x[k,l] <= c[l]."""
     _check_args(grid, contract, tol)
-    margin = _feasibility_margin(grid, contract)
+    margin = _structure_margins(contract.allocation, grid.capacities, tol)[0]
     return margin <= tol, margin
 
 
@@ -231,7 +230,7 @@ def check_resource_greedy(
     Returns (monotone ok, maximal-recycling ok, (monotone margin, maximal margin)).
     """
     _check_args(grid, contract, tol)
-    monotone, maximal = _greedy_margins(grid, contract, tol)
+    _, _, monotone, maximal = _structure_margins(contract.allocation, grid.capacities, tol)
     return monotone <= tol, maximal <= tol, (monotone, maximal)
 
 
@@ -309,21 +308,20 @@ def check_theorem1(
     """
     _check_args(grid, contract, tol)
     truth = _truthful_utilities(grid, contract)
-    feas_margin = _feasibility_margin(grid, contract)
-    mono_margin, maximal_margin = _greedy_margins(grid, contract, tol)
+    p1, p2, monotone, maximal = _structure_margins(contract.allocation, grid.capacities, tol)
     ic_cap_margin = _ic_capacity_margin(grid, contract, truth, tol)
     # joint IC at c + tol and regret at c gather from one prefix maximum
     best_at_tol, best_at_cap = _best_affordable_utility(grid, contract, (tol, 0.0))
     margins = {
-        "p1": feas_margin,
-        "p2": _valuation_monotone_margin(grid, contract),
+        "p1": p1,
+        "p2": p2,
         "p3": _squeeze_margin(grid, contract),
         "p4": ic_cap_margin,
         "p5": float(np.min(truth[-1, :])),
-        "p6": max(mono_margin, maximal_margin),
-        "resource_feasible": feas_margin,
-        "greedy_monotone": mono_margin,
-        "greedy_maximal": maximal_margin,
+        "p6": max(monotone, maximal),
+        "resource_feasible": p1,
+        "greedy_monotone": monotone,
+        "greedy_maximal": maximal,
         "ic_valuation": _ic_valuation_margin(grid, contract, truth),
         "ic_capacity": ic_cap_margin,
         "ic_full": _ic_full_margin(truth, best_at_tol),

@@ -10,16 +10,18 @@ taking the same float operations as in a column on its own.
 
 Payments are computed by backward recursion rather than the equivalent
 closed-form sum to avoid O(K^2) accumulation error; the closed form is kept
-as a test oracle.  Every rule runs one P1/P2 check with one slack, CLAMP_TOL:
-violations within it are clamped away before the recursion, larger ones raise
-PreconditionError naming the first offending entry, and priced_contract
-returns the clamped allocation.
+as a test oracle.  Every rule refuses a NaN entry and reads P1 and P2 (and
+``optimal_payment_multi`` P6) off the audit's tables, ``structure_excess``,
+with one slack, CLAMP_TOL: violations within it are clamped away before the
+recursion, larger ones raise PreconditionError naming the first offending
+entry, and priced_contract returns the clamped allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .feasibility import structure_excess
 from .model import Contract, TypeGrid, ValidationError
 
 #: Allocation slack treated as roundoff and clamped before the recursion.
@@ -35,9 +37,9 @@ def column_payments(
 ) -> np.ndarray:
     """Optimal payments for one capacity column.
 
-    Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to CLAMP_TOL;
-    violations within it are clamped to the boundary, larger ones raise the
-    P1/P2 PreconditionError of ``optimal_payment_multi``.
+    Requires ``capacity >= x[0] >= ... >= x[K-1] >= 0`` up to CLAMP_TOL, and
+    no NaN; violations within it are clamped to the boundary, larger ones
+    raise the PreconditionError of ``optimal_payment_multi``.
     """
     v = np.asarray(valuations, dtype=float)
     x = np.array(allocation_column, dtype=float)
@@ -47,23 +49,22 @@ def column_payments(
     return _clamped_payments(v, x[:, None], capacity)[:, 0]
 
 
-def _check_p1_p2(x: np.ndarray, c: np.ndarray) -> None:
-    """Raise PreconditionError at the first entry of the (K, L) allocation
-    ``x`` beyond capacities ``c`` (P1), below zero (P1), or above the entry
-    before it in its column (P2), by more than CLAMP_TOL."""
-    over = x - c[None, :]
-    if np.any(over > CLAMP_TOL):
-        k, l = np.argwhere(over > CLAMP_TOL)[0]
-        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} > c={c[l]!r}")
-    if np.any(x < -CLAMP_TOL):
-        k, l = np.argwhere(x < -CLAMP_TOL)[0]
-        raise PreconditionError(f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0")
-    rises = np.diff(x, axis=0)
-    if np.any(rises > CLAMP_TOL):
-        k, l = np.argwhere(rises > CLAMP_TOL)[0]
-        raise PreconditionError(
-            f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}"
-        )
+def _check_p1_p2(x: np.ndarray, c: np.ndarray) -> tuple:
+    """Raise PreconditionError at the first NaN of the (K, L) allocation ``x``,
+    else at its first entry past CLAMP_TOL in a P1 or P2 table (over ``c``,
+    negative, rising); else return its ``structure_excess`` tables."""
+    if np.isnan(x).any():
+        k, l = np.argwhere(np.isnan(x))[0]
+        raise PreconditionError(f"allocation is NaN at item (k={k}, l={l})")
+    tables = structure_excess(x, c, CLAMP_TOL)
+    for table, message in zip(tables, (
+        lambda k, l: f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} > c={c[l]!r}",
+        lambda k, l: f"P1 violated at item (k={k}, l={l}): x={x[k, l]!r} < 0",
+        lambda k, l: f"P2 violated in column l={l}: x[{k + 1}]={x[k + 1, l]!r} > x[{k}]={x[k, l]!r}",
+    )):
+        if np.any(table > CLAMP_TOL):
+            raise PreconditionError(message(*np.argwhere(table > CLAMP_TOL)[0]))
+    return tables
 
 
 def _clamp(x: np.ndarray, capacity) -> np.ndarray:
@@ -103,45 +104,36 @@ def optimal_payment_single(grid: TypeGrid, allocation: np.ndarray) -> np.ndarray
 def optimal_payment_multi(grid: TypeGrid, allocation: np.ndarray) -> np.ndarray:
     """Optimal payment matrix, applied column by column.
 
-    The allocation must already satisfy resource feasibility (P1), be
-    non-increasing in valuation per column (P2) and greedy across capacities
-    (P6); violations beyond CLAMP_TOL raise PreconditionError naming the
-    property and indices.
+    The allocation must hold no NaN and satisfy resource feasibility (P1),
+    be non-increasing in valuation per column (P2) and greedy across
+    capacities (P6); violations beyond CLAMP_TOL raise PreconditionError
+    naming the property and indices, P6's at its first failing pair.
     """
-    tol = CLAMP_TOL
     x = np.asarray(allocation, dtype=float)
     K, L = grid.num_valuations, grid.num_capacities
     if x.shape != (K, L):
         raise PreconditionError(f"allocation has shape {x.shape}, expected {(K, L)}")
     c = grid.capacities
-    _check_p1_p2(x, c)
-    # a row's largest drop from column lo is to its smallest later entry and
-    # its largest rise to its largest one, so the suffix extremes find the
-    # first lo with a failing pair; fmin and fmax skip NaN, which fails no
-    # comparison in the pair checks either
-    later = x[:, :0:-1]
-    low = np.fmin.accumulate(later, axis=1)[:, ::-1]
-    high = np.fmax.accumulate(later, axis=1)[:, ::-1]
-    head = x[:, :-1]
-    failing = (head - low > tol) | ((high > head + tol) & (np.abs(head - c[:-1]) > tol))
+    *_, drop, unrecycled = _check_p1_p2(x, c)
+    failing = (drop > CLAMP_TOL) | (unrecycled > CLAMP_TOL)
     if np.any(failing):  # raise the first failing pair (lo, hi), drops first
         lo = int(np.argmax(np.any(failing, axis=0)))
-        for hi in range(lo + 1, L):
-            drops = x[:, lo] - x[:, hi]
-            if np.any(drops > tol):
-                k = int(np.argmax(drops))
-                raise PreconditionError(
-                    f"P6 violated (capacity monotonicity) in row k={k}: "
-                    f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
-                )
-            unrecycled = (x[:, hi] > x[:, lo] + tol) & (np.abs(x[:, lo] - c[lo]) > tol)
-            if np.any(unrecycled):
-                k = int(np.argmax(unrecycled))
-                raise PreconditionError(
-                    f"P6 violated (maximal recycling) in row k={k}: "
-                    f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
-                    f"but x[l={lo}] != c={c[lo]!r}"
-                )
+        head, later = x[:, lo, None], x[:, lo + 1 :]
+        drops = head - later
+        unrecycled = (later > head + CLAMP_TOL) & (np.abs(head - c[lo]) > CLAMP_TOL)
+        dropped = np.any(drops > CLAMP_TOL, axis=0)
+        j = int(np.argmax(dropped | np.any(unrecycled, axis=0)))
+        k, hi = int(np.argmax(drops[:, j] if dropped[j] else unrecycled[:, j])), lo + 1 + j
+        if dropped[j]:
+            raise PreconditionError(
+                f"P6 violated (capacity monotonicity) in row k={k}: "
+                f"x[l={lo}]={x[k, lo]!r} > x[l={hi}]={x[k, hi]!r}"
+            )
+        raise PreconditionError(
+            f"P6 violated (maximal recycling) in row k={k}: "
+            f"x[l={hi}]={x[k, hi]!r} > x[l={lo}]={x[k, lo]!r} "
+            f"but x[l={lo}] != c={c[lo]!r}"
+        )
     return _clamped_payments(grid.valuations, x, c)
 
 

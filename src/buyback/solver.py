@@ -65,7 +65,7 @@ from .model import (
 from .payments import _clamped_payments
 
 #: Hard cap on the oracle's lattice size and on the exact DP's front points
-#: plus crossing pairs.
+#: plus crossing pairs plus the levels rebuilt for each kept block's winner.
 MAX_CANDIDATES = 10_000_000
 
 #: Size of each chunk of the exact solver's array work: products of a block of
@@ -343,6 +343,11 @@ def _penalty_candidates(gain, mass, coef, w, caps, G, X, D):
         w, caps, G, D,
         np.stack([sP[lo_P], sP[lo_P + size_P - 1]]), np.stack([sQ[lo_Q], sQ[lo_Q + size_Q - 1]]),
     )
+    if points + pairs + len(blocks) * K > MAX_CANDIDATES:  # each winner's levels: K parent steps
+        raise CandidateCountError(
+            f"exact solve needs {points} front points, {pairs} crossing pairs and "
+            f"{len(blocks)} kept blocks of {K} levels (limit {MAX_CANDIDATES})"
+        )
     # per block, slope, constant and coefficient sum, each summed as np.sum
     # sums it one block at a time
     add = np.add.reduce
@@ -486,8 +491,8 @@ def solve_multi_reduced(instance: MarketInstance) -> SolveResult:
 
     A DP over rows and grid levels finds the best vertex; ties go to the
     larger supply, then the lexicographically larger y.  Raises
-    CandidateCountError when its fronts and crossing pairs would exceed
-    MAX_CANDIDATES.
+    CandidateCountError when its fronts, crossing pairs and winners' levels
+    (kept blocks x K) would exceed MAX_CANDIDATES.
     """
     return _solve_exact(instance, SolveMethod.MULTI_REDUCED_EXACT)
 

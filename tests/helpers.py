@@ -25,11 +25,9 @@ from buyback.feasibility import (
     AuditReport,
     _best_affordable_utility,
     _check_args,
-    _feasibility_margin,
     _ic_full_margin,
     _regret,
     _truthful_utilities,
-    _valuation_monotone_margin,
     regret_bound,
 )
 from buyback.model import check_shapes, client_utility, provider_expected_utility
@@ -584,16 +582,19 @@ def optimal_payment_multi_reference(
 ) -> np.ndarray:
     """Optimal payment matrix, applied column by column.
 
-    The allocation must already satisfy resource feasibility (P1), be
-    non-increasing in valuation per column (P2) and greedy across capacities
-    (P6); violations beyond ``tol`` raise PreconditionError naming the
-    property and indices.
+    The allocation must hold no NaN, and already satisfy resource
+    feasibility (P1), be non-increasing in valuation per column (P2) and
+    greedy across capacities (P6); violations beyond ``tol`` raise
+    PreconditionError naming the property and indices.
     """
     x = np.asarray(allocation, dtype=float)
     K, L = grid.num_valuations, grid.num_capacities
     if x.shape != (K, L):
         raise PreconditionError(f"allocation has shape {x.shape}, expected {(K, L)}")
     c = grid.capacities
+    for (k, l), value in np.ndenumerate(x):
+        if math.isnan(value):
+            raise PreconditionError(f"allocation is NaN at item (k={k}, l={l})")
 
     over = x - c[None, :]
     if np.any(over > tol):
@@ -887,9 +888,12 @@ def check_theorem1_reference(
     decomposed-IC margins."""
     _check_args(grid, contract, tol)
 
-    feas_margin = _feasibility_margin(grid, contract)
+    x, c = contract.allocation, grid.capacities
+    feas_margin = float(np.max(x - c[None, :]))
     mono_margin, maximal_margin = greedy_margins_reference(grid, contract, tol)
-    p2_margin = _valuation_monotone_margin(grid, contract)
+    # P2: c[l] >= x[0, l] >= ... >= x[K-1, l] >= 0, columnwise
+    p2_margin = max(float(np.max(x[0, :] - c)), float(np.max(-x)))
+    p2_margin = max(p2_margin, float(np.max(np.diff(x, axis=0), initial=-math.inf)))
     p3_margin = squeeze_margin_reference(grid, contract)
     ic_val_margin = ic_valuation_margin_reference(grid, contract)
     ic_cap_margin = ic_capacity_margin_reference(grid, contract, tol)

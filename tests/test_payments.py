@@ -78,6 +78,9 @@ def test_single_precondition_errors_name_index():
         ([4.0, 10.0], f"P2 violated in column l=0: x[1]={f(10.0)!r} > x[0]={f(4.0)!r}"),
         ([11.0, 4.0], f"P1 violated at item (k=0, l=0): x={f(11.0)!r} > c={f(10.0)!r}"),
         ([4.0, -1.0], f"P1 violated at item (k=1, l=0): x={f(-1.0)!r} < 0"),
+        # a NaN is refused ahead of every other check
+        ([4.0, np.nan], "allocation is NaN at item (k=1, l=0)"),
+        ([np.nan, 11.0], "allocation is NaN at item (k=0, l=0)"),
     ):
         with pytest.raises(PreconditionError) as exc:
             optimal_payment_single(grid, x)
@@ -137,6 +140,9 @@ def test_multi_rejects_p1_and_p2():
         optimal_payment_multi(grid, [[4.0, 4.0]])
     with pytest.raises(PreconditionError, match="P2 violated"):
         optimal_payment_multi(TypeGrid([1.0, 2.0], [1.0, 2.0]), [[0.5, 2.0], [1.0, 0.0]])
+    # a NaN is refused ahead of every other check, here P1 at (0, 0)
+    with pytest.raises(PreconditionError, match=r"allocation is NaN at item \(k=1, l=1\)"):
+        optimal_payment_multi(grid, [[6.0, 6.0], [5.0, np.nan]])
 
 
 def test_priced_contract_returns_the_allocation_it_priced():
@@ -242,7 +248,7 @@ def test_multi_matches_reference_bitwise():
                 )
         elif kind == 3:
             x[rng.random(x.shape) < 0.3] = -0.0
-            if i % 2:  # NaN passes every check and must hide no violation
+            if i % 2:  # NaN is refused ahead of every check, whatever else breaks
                 x[rng.integers(K), rng.integers(L)] = np.nan
                 x[rng.integers(K), rng.integers(L)] += rng.choice([-1.0, 1.0])
         elif kind == 4:  # shuffled columns or rows break P6 and P2 in many places
@@ -311,3 +317,30 @@ def test_column_rule_rejects_no_allocation_that_p1_accepts():
                 # test of x > c + CLAMP_TOL would round apart from P1's
                 edge += isinstance(p1, str) and x <= cap + CLAMP_TOL
     assert edge > 0
+
+
+def test_payment_rules_and_the_audit_agree():
+    # optimal_payment_multi refuses an allocation exactly when the audit at
+    # tol = CLAMP_TOL finds it past P1, P2 or P6: both read one set of tables
+    rng = np.random.default_rng(83)
+    outcomes = Counter()
+    for i in range(1500):
+        grid = random_grid(rng, max_k=6, max_l=4, integer=i % 2 == 0)
+        K, L = grid.num_valuations, grid.num_capacities
+        x = greedy_allocation(grid, random_monotone_y(rng, grid))
+        kind = i % 3
+        if kind == 0:
+            x = rng.uniform(0.0, 1.1 * float(grid.capacities[-1]), (K, L))
+        elif kind == 1:
+            x = x[:, rng.permutation(L)]
+        else:  # noise within, at and just past the tolerance
+            noise = rng.choice([-1.0, 0.0, 1.0], x.shape) * rng.choice([5e-10, 1e-9, 2e-9], x.shape)
+            x = np.maximum(x + noise, 0.0)
+        margins = check_theorem1(grid, Contract(x, np.zeros_like(x)), tol=CLAMP_TOL).margins
+        past = any(
+            margins[key] > CLAMP_TOL for key in ("p1", "p2", "greedy_monotone", "greedy_maximal")
+        )
+        refused = isinstance(priced_or_message(optimal_payment_multi, grid, x), str)
+        assert refused == past, (grid, x, margins)
+        outcomes[kind, refused] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 20, outcomes

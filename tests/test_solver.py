@@ -513,6 +513,26 @@ def test_exact_crossing_budget_is_checked_before_the_screen(monkeypatch):
     assert time.perf_counter() - start < 2.0
 
 
+def test_exact_budget_counts_the_winners_level_rebuilds():
+    # the same kind of instance: each kept block's winner is rebuilt in K
+    # parent steps, so at K = 400 its 40,200 kept blocks cost 16M levels and
+    # the solve is refused right after the screen, before seconds of
+    # rebuilding; at K = 300 (6.75M levels) it still solves
+    def instance(K):
+        probs = np.zeros((1, K))
+        probs[0, K // 2] = 1.0
+        return one_client_instance(np.arange(1.0, K + 1.0), [1.0], probs, K + 1.0, 2.0, 0.5)
+
+    start = time.perf_counter()
+    with pytest.raises(
+        CandidateCountError,
+        match="1199 front points, 40200 crossing pairs and 40200 kept blocks of 400 levels",
+    ):
+        solve_multi_reduced(instance(400))
+    assert time.perf_counter() - start < 1.0
+    assert solve_multi_reduced(instance(300)).diagnostics["crossing_pairs"] == 22650
+
+
 def test_exact_fronts_at_ten_thousand_rows_are_refused_within_seconds():
     # the same kind of instance at K = 10^4 and the default budget: 29,999
     # front points of at most two points each, whose rows once took over a
